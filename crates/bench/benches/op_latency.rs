@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use lucky_baselines::abd::{AbdCluster, AbdConfig};
 use lucky_core::{ClusterConfig, ProtocolConfig, SimCluster};
-use lucky_net::{Driver, NetConfig, NetStore, Transport};
+use lucky_net::{NetConfig, NetStore, Transport};
 use lucky_types::{Params, ReaderId, RegisterId, TwoRoundParams, Value};
 use std::time::Duration;
 
@@ -123,12 +123,15 @@ fn bench_variants(c: &mut Criterion) {
     group.finish();
 }
 
-/// Threaded vs polled vs reactor client drivers on the real-time
-/// runtime, over real TCP sockets: wall-clock latency of a sequential
-/// write + read pair. All drivers pump the same sans-io `ClientSession`,
-/// so the spread between them is pure driver overhead (blocking recv vs
-/// sleep-capped poll loop vs epoll reactor).
+/// The shard worker's epoll wait on the real-time runtime, over real
+/// TCP sockets: wall-clock latency of a sequential write + read pair
+/// (the row keeps its historical `reactor` label).
 fn bench_net_drivers(c: &mut Criterion) {
+    // Elsewhere TCP workers wait on their input channel; benching that
+    // fallback under the epoll row's label would just mislead the gate.
+    if !cfg!(target_os = "linux") {
+        return;
+    }
     let params = Params::new(1, 0, 1, 0).unwrap();
     let cfg = || NetConfig {
         min_latency: Duration::from_micros(50),
@@ -136,33 +139,22 @@ fn bench_net_drivers(c: &mut Criterion) {
         seed: 3,
         timer: Duration::from_millis(2),
     };
-    let mut drivers = vec![("threaded", Driver::Threaded), ("polled", Driver::Polled)];
-    if cfg!(target_os = "linux") {
-        // Elsewhere Reactor degrades to the polled loop; benching the
-        // fallback under the reactor label would just mislead the gate.
-        drivers.push(("reactor", Driver::Reactor));
-    }
     let mut group = c.benchmark_group("net_driver_write_read_pair_tcp");
-    for (name, driver) in drivers {
-        group.bench_function(name, |bencher| {
-            bencher.iter_batched_ref(
-                || {
-                    let mut store = NetStore::builder(params, cfg())
-                        .registers(1)
-                        .transport(Transport::Tcp)
-                        .driver(driver)
-                        .build();
-                    let handle = store.register(RegisterId(0)).expect("fresh handle");
-                    (store, handle)
-                },
-                |(_store, handle)| {
-                    handle.write(Value::from_u64(1)).expect("write completes");
-                    handle.read(0).expect("read completes")
-                },
-                BatchSize::LargeInput,
-            );
-        });
-    }
+    group.bench_function("reactor", |bencher| {
+        bencher.iter_batched_ref(
+            || {
+                let mut store =
+                    NetStore::builder(params, cfg()).registers(1).transport(Transport::Tcp).build();
+                let handle = store.register(RegisterId(0)).expect("fresh handle");
+                (store, handle)
+            },
+            |(_store, handle)| {
+                handle.write(Value::from_u64(1)).expect("write completes");
+                handle.read(0).expect("read completes")
+            },
+            BatchSize::LargeInput,
+        );
+    });
     group.finish();
 }
 

@@ -1,16 +1,16 @@
 //! # lucky-net
 //!
-//! A thread-based, wall-clock runtime for the lucky storage protocols.
+//! A wall-clock runtime for the lucky storage protocols.
 //!
 //! The same sans-io cores that run under the deterministic simulator run
-//! here over real threads and channels: every server is a thread, a
-//! router thread injects configurable per-message latency, and client
-//! handles drive the writer/reader cores from the caller's thread with
-//! blocking `write`/`read` calls. This is the runtime the
-//! `replicated_config_store` example uses to demonstrate the library
-//! outside the simulator.
+//! here over real threads, channels and (optionally) loopback sockets:
+//! every server is a thread, a router thread injects configurable
+//! per-message latency, and shard worker threads drive the client
+//! sessions for the register handles callers take. [`NetStore`] is the
+//! one way to assemble it; a single-register deployment is a store with
+//! `registers(1)`.
 //!
-//! The runtime is **variant-generic**: clusters are built from the same
+//! The runtime is **variant-generic**: stores are built from the same
 //! `Setup` enum the simulator uses, and every process comes out of the
 //! `Setup` factories in `lucky-core`, which in turn instantiate the
 //! shared round-engine kernel (`lucky_core::engine`) with the chosen
@@ -19,33 +19,32 @@
 //! variant-specific code in this crate:
 //!
 //! ```
-//! use lucky_net::{NetCluster, NetConfig};
-//! use lucky_types::TwoRoundParams;
-//! # use lucky_types::Value;
+//! use lucky_net::{NetConfig, NetStore};
+//! use lucky_types::{RegisterId, TwoRoundParams, Value};
 //!
 //! let params = TwoRoundParams::new(1, 0, 1).unwrap();
-//! let mut cluster = NetCluster::builder(params, NetConfig::default()).build();
-//! let mut writer = cluster.take_writer().expect("writer handle");
-//! let w = writer.write(Value::from_u64(1)).unwrap();
+//! let mut store = NetStore::builder(params, NetConfig::default()).registers(1).build();
+//! let register = store.register(RegisterId(0)).expect("register handle");
+//! let w = register.write(Value::from_u64(1)).unwrap();
 //! assert_eq!((w.rounds, w.fast), (2, false)); // App. C: always two rounds
-//! cluster.shutdown();
+//! store.shutdown();
 //! ```
 //!
 //! ```
-//! use lucky_net::{NetCluster, NetConfig};
-//! use lucky_types::{Params, Value};
+//! use lucky_net::{NetConfig, NetStore};
+//! use lucky_types::{Params, RegisterId, Value};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let params = Params::new(1, 0, 1, 0)?;
-//! let mut cluster = NetCluster::builder(params, NetConfig::default()).build();
-//! let mut writer = cluster.take_writer().expect("writer handle");
-//! let mut reader = cluster.take_reader(0).expect("reader handle");
+//! let mut store =
+//!     NetStore::builder(params, NetConfig::default()).registers(1).readers_per_register(2).build();
+//! let register = store.register(RegisterId(0))?;
 //!
-//! let w = writer.write(Value::from_u64(42))?;
+//! let w = register.write(Value::from_u64(42))?;
 //! assert!(w.rounds >= 1);
-//! let r = reader.read()?;
+//! let r = register.read(1)?; // the register's second reader
 //! assert_eq!(r.value.as_u64(), Some(42));
-//! cluster.shutdown();
+//! store.shutdown();
 //! # Ok(())
 //! # }
 //! ```
@@ -59,30 +58,33 @@
 //! shared router. Router statistics are broken down per register and
 //! per destination server.
 //!
-//! ## Drivers
+//! ## One worker, two ways to wait
 //!
 //! Client cores are wrapped in `lucky-core`'s sans-io `ClientSession`
 //! (the poll-based op lifecycle with the per-operation deadline built
-//! in) and driven one of two ways, selected per store with the builder
-//! method `driver`:
+//! in), and each shard worker multiplexes **all** of its sessions on one
+//! thread: it takes jobs and deliveries, wakes due sessions, settles
+//! finished ops and begins queued ones. [`NetStoreBuilder::build`]
+//! decides per worker how it waits for the next input — there is no
+//! option to pick ([`Driver`] has a single value):
 //!
-//! * [`Driver::Threaded`] (default) — a blocking pump per job:
-//!   `recv_timeout` until the session's `next_wake`, one operation at a
-//!   time per shard worker;
-//! * [`Driver::Polled`] — a nonblocking readiness-style poll loop per
-//!   shard worker, multiplexing **all** of the shard's sessions on one
-//!   thread; under [`Transport::Tcp`] the worker accepts and reads its
-//!   own socket with `lucky-wire`'s push-based `FrameDecoder` instead
-//!   of per-connection reader threads;
-//! * [`Driver::Reactor`] — the same multiplexing worker driven by a
-//!   real `epoll` instance (Linux; requires [`Transport::Tcp`]): the
-//!   thread sleeps in `epoll_wait` with the sessions' `next_wake`
-//!   timers folded into the timeout and wakes only for actual IO, a
-//!   timer, or a job submission (signalled via `eventfd`) — so one
-//!   thread drives thousands of concurrent in-flight sessions and an
-//!   idle store burns zero CPU. `tests/driver_equivalence.rs` proves
-//!   the drivers observably interchangeable, and `tests/reactor.rs`
-//!   pins the concurrency and idle-CPU properties.
+//! * **epoll** — under [`Transport::Tcp`], when an epoll instance and a
+//!   wake eventfd can be set up (Linux): the worker accepts and reads
+//!   its own socket with `lucky-wire`'s push-based `FrameDecoder`, and
+//!   sleeps in `epoll_wait` with the sessions' `next_wake` armed on a
+//!   timerfd, waking only for IO, a timer, or a submitted job
+//!   (signalled via `eventfd`);
+//! * **its input channel** — under [`Transport::Channel`], and under TCP
+//!   when epoll cannot be set up (counted in [`NetStats::io_errors`]):
+//!   the router (or the fabric's reader threads for the worker's slot)
+//!   sends every delivery to the channel that also carries the jobs,
+//!   and the worker blocks in `recv_timeout` until the earliest session
+//!   wake.
+//!
+//! Either way one thread drives thousands of concurrent in-flight
+//! sessions and an idle store burns zero CPU. `tests/driver_equivalence.rs`
+//! proves the two waits observably interchangeable, and
+//! `tests/reactor.rs` pins the concurrency and idle-CPU properties.
 //!
 //! ## Futures
 //!
@@ -153,10 +155,7 @@ mod router;
 mod store;
 mod tcp;
 
-pub use cluster::{
-    HandleError, NetCluster, NetClusterBuilder, NetConfig, NetError, NetOutcome, ReaderHandle,
-    WriterHandle,
-};
+pub use cluster::{HandleError, NetConfig, NetError, NetOutcome};
 pub use future::OpFuture;
 pub use polled::Driver;
 pub use router::{GroupStats, NetStats, RegisterStats, ServerStats};

@@ -1,44 +1,35 @@
-//! The nonblocking, readiness-style polled driver.
+//! The shard worker: the runtime's one client driver.
 //!
-//! Where the threaded driver parks one OS thread per in-flight operation
-//! (`ClientDriver::run_op` blocks its caller), the polled driver
-//! multiplexes **all of a shard's client sessions on one thread**: a
-//! single loop drains the job queue, polls the shard's input source,
-//! wakes whichever sessions are due and pumps their outputs to the
-//! router. The sans-io `ClientSession` already isolates all protocol and
-//! deadline logic, so the same worker runs under two readiness sources:
+//! A [`PolledWorker`] multiplexes **all of a shard's client sessions on
+//! one thread**. Each pass drains the worker's input channel (jobs from
+//! register handles and, for a channel-waiting worker, protocol
+//! deliveries), wakes the sessions whose timers are due, settles
+//! finished operations, begins queued ones and pumps their outputs to
+//! the router. The sans-io `ClientSession` holds all protocol and
+//! deadline logic, so workers differ only in how they **wait** for the
+//! next input — a choice `NetStoreBuilder::build` makes per worker:
 //!
-//! * [`Driver::Polled`] — this module's sleep-capped poll loop: portable
-//!   (no OS reactor), at the cost of scheduling noise up to
-//!   [`POLL_TICK`] per input;
-//! * [`Driver::Reactor`] — `crate::reactor` drives the *same*
-//!   [`PolledWorker`] state machine from a real `epoll` instance: the
-//!   thread blocks in `epoll_wait` with the session timers folded into
-//!   the timeout and wakes only for actual IO, timers or job
-//!   submissions.
-//!
-//! Input sources per [`Transport`](crate::Transport):
-//!
-//! * **Channel** — the worker owns its client processes' inboxes and
-//!   `try_recv`s them;
-//! * **Tcp** — the worker owns its slot's loopback listener *itself*
-//!   (the fabric spawns no reader threads for polled slots): it accepts
-//!   the router's connection nonblocking, reads whatever bytes arrived,
-//!   reassembles frames with [`FrameDecoder`], decodes the packet parts
-//!   and dispatches them to sessions by recipient. One thread, zero
-//!   blocking reads — the push-based decoder from `lucky-wire` is what
-//!   makes this loop possible.
+//! * [`Wait::Epoll`] — under `Transport::Tcp`, when an epoll instance
+//!   and a wake eventfd can be set up: the worker owns its slot's
+//!   loopback listener (the fabric spawns no reader threads for it),
+//!   reassembles frames with `lucky-wire`'s push-based
+//!   [`FrameDecoder`], and sleeps in `epoll_wait` (`crate::reactor`);
+//! * [`Wait::Channel`] — `recv_timeout` on the input channel until the
+//!   earliest session wake. Under `Transport::Channel` the router sends
+//!   every delivery to that channel, tagged with its recipient; under
+//!   `Transport::Tcp` without epoll, the fabric's reader threads for the
+//!   worker's slot do.
 //!
 //! Socket setup failures degrade instead of killing the worker: a
-//! connection that cannot be flipped nonblocking is dropped (counted in
+//! connection that cannot be made nonblocking is dropped (counted in
 //! [`NetStats::io_errors`]), a listener that cannot be is abandoned —
-//! the shard's sessions then fail per-operation (deadline) rather than
+//! the shard's sessions then fail per operation (deadline) rather than
 //! stranding every session the worker multiplexes.
 
 use crate::cluster::{trace_actor, NetError, NetOutcome};
 use crate::future::NotifyGuard;
+use crate::reactor::Reactor;
 use crate::router::{Envelope, NetStats};
-use crossbeam::channel::{Receiver, Sender};
 use lucky_core::runtime::{ClientSession, Input};
 use lucky_types::{History, Message, Op, OpId, OpRecord, ProcessId, RegisterId, Time};
 use lucky_wire::{decode_packet, FrameDecoder};
@@ -46,42 +37,55 @@ use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Read;
 use std::net::{TcpListener, TcpStream};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Which client-driving strategy a `NetStore` deploys on its shard
-/// workers.
+/// The client-driving strategy of a `NetStore`. **Single-valued**:
+/// every store runs one multiplexing worker per shard, and
+/// `build()` decides per worker whether it waits in `epoll_wait` or on
+/// its input channel (from the transport and from whether epoll could
+/// be set up) — so there is nothing left to choose. The type and
+/// `NetStoreBuilder::driver` remain so existing
+/// `.driver(Driver::Reactor)` calls keep compiling.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Driver {
-    /// One blocking driver per job: a shard worker runs its queued
-    /// operations to completion one at a time (the original runtime).
+    /// One multiplexing worker per shard, all of the shard's client
+    /// sessions on one thread; operations on different sessions of one
+    /// worker proceed concurrently, and an idle worker blocks without a
+    /// tick (zero CPU).
     #[default]
-    Threaded,
-    /// One nonblocking poll loop per shard worker, multiplexing all of
-    /// the shard's client sessions: operations on different sessions of
-    /// one worker proceed concurrently.
-    Polled,
-    /// One `epoll` reactor per shard worker: the same multiplexing as
-    /// [`Driver::Polled`], but the thread blocks in `epoll_wait` (wake
-    /// eventfd + listener + accepted connections registered, session
-    /// timers folded into the timeout) instead of sleep-capped polling
-    /// — so one thread drives thousands of concurrent sessions and an
-    /// idle worker costs zero CPU. Requires
-    /// [`Transport::Tcp`](crate::Transport::Tcp); on platforms without
-    /// epoll the worker transparently falls back to the polled loop.
     Reactor,
 }
 
-/// A job submitted to a shard worker (threaded or polled): run `op`
-/// on the client core/session keyed by `slot` and send the outcome back
-/// through `reply`. `notify` wakes the op's future (if the job came from
-/// the futures API) once the reply has been sent — or on any path that
-/// drops the job, so a future can never be lost.
+/// A job submitted to a shard worker: run `op` on the session keyed by
+/// `slot` and send the outcome back through `reply`. `notify` wakes the
+/// op's future (if the job came from the futures API) once the reply
+/// has been sent — or on any path that drops the job, so a future can
+/// never be lost.
 pub(crate) struct Job {
     pub(crate) slot: (RegisterId, u32),
     pub(crate) op: Op,
     pub(crate) reply: Sender<Result<NetOutcome, NetError>>,
     pub(crate) notify: Option<NotifyGuard>,
+}
+
+/// Everything a shard worker's input channel carries.
+pub(crate) enum WorkerInput {
+    /// An operation submitted through a register handle.
+    Job(Job),
+    /// A protocol message for the hosted client process `to` (channel
+    /// wait only; an epoll worker reads its own socket).
+    Deliver {
+        /// Sender.
+        from: ProcessId,
+        /// Recipient, one of this worker's client processes.
+        to: ProcessId,
+        /// Payload.
+        msg: Message,
+    },
+    /// The store shut down: fail what is in flight and exit.
+    Stop,
 }
 
 /// The operation currently in flight on one session, with its per-op
@@ -114,10 +118,6 @@ impl PolledSlot {
         PolledSlot { session, queue: VecDeque::new(), current: None }
     }
 
-    fn is_idle(&self) -> bool {
-        self.current.is_none() && self.queue.is_empty()
-    }
-
     /// Credit one delivered wire message to the pending op (if any).
     fn credit_delivery(&mut self, msg: &Message) {
         if let Some(cur) = self.current.as_mut() {
@@ -125,33 +125,44 @@ impl PolledSlot {
             cur.bytes += msg.wire_size() as u64;
         }
     }
+
+    /// Forward everything the session wants sent to the router,
+    /// attributing each send to the pending op.
+    fn pump(&mut self, router: &Sender<Envelope>) {
+        let from = self.session.id();
+        while let Some(out) = self.session.poll_output() {
+            let (to, msg) = out.into_send();
+            if let Some(cur) = self.current.as_mut() {
+                cur.msgs += 1;
+                cur.bytes += msg.wire_size() as u64;
+            }
+            let _ = router.send(Envelope::Deliver { from, to, msg });
+        }
+    }
 }
 
-/// Where a polled worker's inbound protocol messages come from.
-pub(crate) enum PollIo {
-    /// Channel transport: the per-process inboxes this worker hosts.
-    Channel(BTreeMap<ProcessId, Receiver<(ProcessId, Message)>>),
-    /// TCP transport: the worker's own loopback listener (nonblocking;
-    /// `None` if it could not be made so — the worker then runs without
-    /// accepting, degraded but alive), plus a slab of the connections
-    /// accepted so far with their frame decoders. Slab indices are
-    /// stable (closed connections leave a `None` hole) so the reactor's
-    /// epoll tokens stay valid across closes.
-    Tcp { listener: Option<TcpListener>, conns: Vec<Option<(TcpStream, FrameDecoder)>> },
+/// An epoll worker's TCP input: its own loopback listener (nonblocking;
+/// `None` if it could not be made so — the worker then runs without
+/// accepting, degraded but alive), plus a slab of the connections
+/// accepted so far with their frame decoders. Slab indices are stable
+/// (closed connections leave a `None` hole) so epoll tokens stay valid
+/// across closes.
+pub(crate) struct SocketIo {
+    listener: Option<TcpListener>,
+    conns: Vec<Option<(TcpStream, FrameDecoder)>>,
 }
 
-impl PollIo {
-    /// A nonblocking TCP source. The listener must already be bound;
-    /// this flips it nonblocking. If the OS refuses, the listener is
-    /// **abandoned** (counted in [`NetStats::io_errors`]) rather than
-    /// kept blocking — a blocking `accept` would wedge the whole shard
-    /// worker, whereas a worker without a listener merely lets its
-    /// sessions fail per-operation.
-    pub(crate) fn tcp(
+impl SocketIo {
+    /// Flip a bound listener nonblocking. If the OS refuses, the
+    /// listener is **abandoned** (counted in [`NetStats::io_errors`])
+    /// rather than kept blocking — a blocking `accept` would wedge the
+    /// whole shard worker, whereas a worker without a listener merely
+    /// lets its sessions fail per operation.
+    pub(crate) fn new(
         listener: TcpListener,
         stats: &Arc<Mutex<NetStats>>,
         tracer: &lucky_trace::Tracer,
-    ) -> PollIo {
+    ) -> SocketIo {
         let listener = match listener.set_nonblocking(true) {
             Ok(()) => Some(listener),
             Err(_) => {
@@ -161,25 +172,45 @@ impl PollIo {
                 None
             }
         };
-        PollIo::Tcp { listener, conns: Vec::new() }
+        SocketIo { listener, conns: Vec::new() }
+    }
+
+    /// The listener, for epoll registration and the router's sink
+    /// (`None` once abandoned).
+    pub(crate) fn listener(&self) -> Option<&TcpListener> {
+        self.listener.as_ref()
+    }
+
+    /// The accepted connection at slab index `i`, for epoll
+    /// registration.
+    pub(crate) fn conn_stream(&self, i: usize) -> Option<&TcpStream> {
+        self.conns.get(i).and_then(|c| c.as_ref()).map(|(s, _)| s)
+    }
+
+    /// Drop the accepted connection at slab index `i` (its hole is
+    /// reused by later accepts).
+    pub(crate) fn drop_conn(&mut self, i: usize) {
+        if let Some(c) = self.conns.get_mut(i) {
+            *c = None;
+        }
     }
 }
 
-/// Upper bound on one poll-loop sleep: inputs (jobs, bytes) that arrive
-/// while the worker sleeps are picked up at worst this much later.
-const POLL_TICK: Duration = Duration::from_micros(500);
-
-/// How long an *idle* worker (no session pending, no job queued) parks
-/// on the job queue before re-checking for shutdown.
-const IDLE_PARK: Duration = Duration::from_millis(20);
+/// How a worker blocks between passes; chosen per worker by
+/// `NetStoreBuilder::build`.
+pub(crate) enum Wait {
+    /// `recv_timeout` on the input channel until the next session wake.
+    Channel,
+    /// `epoll_wait` on the worker's socket, wake eventfd and timerfd.
+    Epoll(Reactor),
+}
 
 pub(crate) struct PolledWorker {
     pub(crate) sessions: BTreeMap<(RegisterId, u32), PolledSlot>,
     /// Recipient → session key, for dispatching inbound messages.
     pub(crate) by_pid: BTreeMap<ProcessId, (RegisterId, u32)>,
-    pub(crate) jobs: Receiver<Job>,
+    pub(crate) input: Receiver<WorkerInput>,
     pub(crate) router: Sender<Envelope>,
-    pub(crate) io: PollIo,
     pub(crate) history: Arc<Mutex<History>>,
     pub(crate) stats: Arc<Mutex<NetStats>>,
     pub(crate) epoch: Instant,
@@ -193,56 +224,72 @@ impl PolledWorker {
         Time(self.epoch.elapsed().as_micros() as u64)
     }
 
-    /// Run the poll loop until the store drops the job senders and every
-    /// session has drained its work. Also the portable fallback the
-    /// reactor driver degrades to when no epoll instance can be had.
-    pub(crate) fn run(mut self) {
-        let mut jobs_open = true;
-        loop {
-            // 1. Drain newly submitted jobs into their session queues.
-            self.drain_jobs(&mut jobs_open);
-            // 2. Poll the input source and feed deliveries to sessions.
-            self.poll_io();
-            // 3. Wake every session whose next_wake is due.
+    /// Run until the store stops the worker (or drops every sender);
+    /// whatever is still in flight then fails with
+    /// [`NetError::Disconnected`].
+    pub(crate) fn run(mut self, mut wait: Wait) {
+        while self.drain_input() {
             self.fire_due_wakes();
-            // 4. Start queued operations, pump outputs, settle outcomes.
             self.advance();
-            // 5. Exit once no more jobs can arrive and nothing is left.
-            if !jobs_open && self.all_idle() {
-                return;
-            }
-            // 6. Sleep until the next wake (capped) — or, fully idle,
-            //    park on the job queue so an idle store costs no CPU.
-            if !self.all_idle() {
-                let next = self.next_wake_delay().unwrap_or(POLL_TICK);
-                std::thread::sleep(next.min(POLL_TICK));
-            } else if jobs_open {
-                match self.jobs.recv_timeout(IDLE_PARK) {
-                    Ok(job) => self.enqueue(job),
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => jobs_open = false,
+            let running = match &mut wait {
+                Wait::Channel => self.wait_on_channel(),
+                Wait::Epoll(reactor) => {
+                    reactor.wait(&mut self);
+                    true
                 }
+            };
+            if !running {
+                break;
+            }
+        }
+        self.abandon();
+    }
+
+    /// Take everything already queued on the input channel; `false`
+    /// once the worker must stop.
+    fn drain_input(&mut self) -> bool {
+        loop {
+            match self.input.try_recv() {
+                Ok(input) => {
+                    if !self.take(input) {
+                        return false;
+                    }
+                }
+                Err(TryRecvError::Empty) => return true,
+                Err(TryRecvError::Disconnected) => return false,
             }
         }
     }
 
-    /// Move every queued job into its session's queue; clears
-    /// `jobs_open` once the store has dropped the job senders.
-    pub(crate) fn drain_jobs(&mut self, jobs_open: &mut bool) {
-        while *jobs_open {
-            match self.jobs.try_recv() {
-                Ok(job) => self.enqueue(job),
-                Err(crossbeam::channel::TryRecvError::Empty) => break,
-                Err(crossbeam::channel::TryRecvError::Disconnected) => {
-                    *jobs_open = false;
-                    break;
-                }
+    /// Apply one input; `false` for [`WorkerInput::Stop`].
+    fn take(&mut self, input: WorkerInput) -> bool {
+        match input {
+            WorkerInput::Job(job) => self.enqueue(job),
+            WorkerInput::Deliver { from, to, msg } => {
+                let now = self.now();
+                deliver(&self.by_pid, &mut self.sessions, &self.stats, from, to, msg, now);
             }
+            WorkerInput::Stop => return false,
         }
+        true
+    }
+
+    /// Block on the input channel until an input arrives or the next
+    /// session wake is due — no sleep cap, no tick. `false` once the
+    /// worker must stop.
+    fn wait_on_channel(&mut self) -> bool {
+        let received = match self.next_wake_delay() {
+            Some(delay) => match self.input.recv_timeout(delay) {
+                Err(RecvTimeoutError::Timeout) => return true,
+                received => received.ok(),
+            },
+            None => self.input.recv().ok(),
+        };
+        received.is_some_and(|input| self.take(input))
     }
 
     /// Wake every session whose `next_wake` is due.
-    pub(crate) fn fire_due_wakes(&mut self) {
+    fn fire_due_wakes(&mut self) {
         let now = self.now();
         for slot in self.sessions.values_mut() {
             if slot.session.next_wake().is_some_and(|due| due <= now) {
@@ -251,15 +298,9 @@ impl PolledWorker {
         }
     }
 
-    /// `true` iff no session has an op in flight or queued.
-    pub(crate) fn all_idle(&self) -> bool {
-        self.sessions.values().all(PolledSlot::is_idle)
-    }
-
     /// How long until the earliest session timer is due (`None` when no
-    /// session needs waking — e.g. fully idle). The reactor uses this as
-    /// its `epoll_wait` timeout; the polled loop caps it at
-    /// [`POLL_TICK`].
+    /// session needs waking — e.g. fully idle): the channel wait's
+    /// timeout and the reactor's timerfd setting.
     pub(crate) fn next_wake_delay(&self) -> Option<Duration> {
         let now = self.now();
         self.sessions
@@ -279,45 +320,33 @@ impl PolledWorker {
         }
     }
 
-    /// Drain whatever input arrived without blocking.
-    pub(crate) fn poll_io(&mut self) {
-        match &mut self.io {
-            PollIo::Channel(_) => self.poll_channels(),
-            PollIo::Tcp { .. } => {
-                self.accept_new();
-                let PollIo::Tcp { conns, .. } = &self.io else { unreachable!() };
-                let live: Vec<usize> =
-                    conns.iter().enumerate().filter_map(|(i, c)| c.as_ref().map(|_| i)).collect();
-                for i in live {
-                    self.read_conn(i);
-                }
-            }
-        }
-    }
-
-    /// Drain the channel-transport inboxes.
-    fn poll_channels(&mut self) {
+    /// The worker stops: fail every in-flight op with
+    /// [`NetError::Disconnected`] and drop the queued ones (their
+    /// dropped reply senders report the same).
+    fn abandon(&mut self) {
         let now = self.now();
-        let PollIo::Channel(inboxes) = &mut self.io else { return };
-        for (pid, rx) in inboxes.iter() {
-            let Some(&key) = self.by_pid.get(pid) else { continue };
-            while let Ok((from, msg)) = rx.try_recv() {
-                if let Some(slot) = self.sessions.get_mut(&key) {
-                    slot.credit_delivery(&msg);
-                    slot.session.handle(Input::Deliver(from, msg), now);
-                }
+        for slot in self.sessions.values_mut() {
+            slot.queue.clear();
+            if let Some(cur) = slot.current.take() {
+                resolve(
+                    &self.history,
+                    &self.tracer,
+                    &slot.session,
+                    cur,
+                    Err(NetError::Disconnected),
+                    now,
+                );
             }
         }
     }
 
-    /// Accept every connection the router has established (TCP only),
-    /// returning the slab indices of the new connections so a reactor
-    /// can register them. A connection that cannot be made nonblocking
-    /// is dropped and counted — one bad socket must not kill the worker.
-    pub(crate) fn accept_new(&mut self) -> Vec<usize> {
+    /// Accept every connection the router has established, returning
+    /// the slab indices of the new connections so the reactor can
+    /// register them. A connection that cannot be made nonblocking is
+    /// dropped and counted — one bad socket must not kill the worker.
+    pub(crate) fn accept_new(&mut self, io: &mut SocketIo) -> Vec<usize> {
         let mut added = Vec::new();
-        let PollIo::Tcp { listener, conns } = &mut self.io else { return added };
-        let Some(listener) = listener.as_ref() else { return added };
+        let Some(listener) = io.listener.as_ref() else { return added };
         loop {
             match listener.accept() {
                 Ok((stream, _)) => {
@@ -330,14 +359,14 @@ impl PolledWorker {
                         discard_broken(stream);
                         continue;
                     }
-                    let i = match conns.iter().position(Option::is_none) {
+                    let i = match io.conns.iter().position(Option::is_none) {
                         Some(hole) => hole,
                         None => {
-                            conns.push(None);
-                            conns.len() - 1
+                            io.conns.push(None);
+                            io.conns.len() - 1
                         }
                     };
-                    conns[i] = Some((stream, FrameDecoder::new()));
+                    io.conns[i] = Some((stream, FrameDecoder::new()));
                     added.push(i);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -347,41 +376,13 @@ impl PolledWorker {
         added
     }
 
-    /// The worker's loopback listener, for epoll registration (`None`
-    /// for channel transport or a degraded TCP source).
-    pub(crate) fn listener(&self) -> Option<&TcpListener> {
-        match &self.io {
-            PollIo::Tcp { listener, .. } => listener.as_ref(),
-            PollIo::Channel(_) => None,
-        }
-    }
-
-    /// The accepted connection at slab index `i`, for epoll registration.
-    pub(crate) fn conn_stream(&self, i: usize) -> Option<&TcpStream> {
-        match &self.io {
-            PollIo::Tcp { conns, .. } => conns.get(i).and_then(|c| c.as_ref()).map(|(s, _)| s),
-            PollIo::Channel(_) => None,
-        }
-    }
-
-    /// Drop the accepted connection at slab index `i` (its hole is
-    /// reused by later accepts).
-    pub(crate) fn drop_conn(&mut self, i: usize) {
-        if let PollIo::Tcp { conns, .. } = &mut self.io {
-            if let Some(c) = conns.get_mut(i) {
-                *c = None;
-            }
-        }
-    }
-
     /// Read connection `i` dry: reassemble frames, decode, dispatch to
     /// sessions. Closes the connection on EOF, IO error or the first
     /// malformed frame (counted — a corrupt stream has no trustworthy
     /// framing left).
-    pub(crate) fn read_conn(&mut self, i: usize) {
+    pub(crate) fn read_conn(&mut self, io: &mut SocketIo, i: usize) {
         let now = self.now();
-        let PollIo::Tcp { conns, .. } = &mut self.io else { return };
-        let Some(Some((stream, dec))) = conns.get_mut(i) else { return };
+        let Some(Some((stream, dec))) = io.conns.get_mut(i) else { return };
         let mut buf = [0u8; 16 * 1024];
         let mut close = false;
         'conn: loop {
@@ -425,16 +426,34 @@ impl PolledWorker {
             }
         }
         if close {
-            conns[i] = None;
+            io.conns[i] = None;
         }
     }
 
-    /// Begin queued operations on idle sessions, forward outputs to the
-    /// router, and resolve completed or failed operations.
-    pub(crate) fn advance(&mut self) {
+    /// Settle finished operations, begin queued ones on free sessions,
+    /// and forward every output to the router. A slot settles *before*
+    /// its next op begins, in the same pass: the begin arms the
+    /// session's next timer, so the worker's next wait has a timeout
+    /// even when the settle came from the last timer it had.
+    fn advance(&mut self) {
         let now = self.now();
         for slot in self.sessions.values_mut() {
-            // Start the next queued op when the session is free.
+            slot.pump(&self.router);
+            if slot.session.is_settled() {
+                if let Some(cur) = slot.current.take() {
+                    let result = match slot.session.take_outcome() {
+                        Some(outcome) => {
+                            Ok(NetOutcome::from_session(outcome, &cur.op, cur.start.elapsed()))
+                        }
+                        None => Err(slot
+                            .session
+                            .take_failure()
+                            .expect("a settled session without an outcome has failed")
+                            .into()),
+                    };
+                    resolve(&self.history, &self.tracer, &slot.session, cur, result, now);
+                }
+            }
             if slot.current.is_none() && slot.session.is_ready() {
                 if let Some((op, reply, notify)) = slot.queue.pop_front() {
                     slot.session
@@ -449,69 +468,54 @@ impl PolledWorker {
                         msgs: 0,
                         bytes: 0,
                     });
+                    slot.pump(&self.router);
                 }
-            }
-            // Pump outputs, attributing each send to the pending op.
-            let from = slot.session.id();
-            while let Some(out) = slot.session.poll_output() {
-                let (to, msg) = out.into_send();
-                if let Some(cur) = slot.current.as_mut() {
-                    cur.msgs += 1;
-                    cur.bytes += msg.wire_size() as u64;
-                }
-                let _ = self.router.send(Envelope::Deliver { from, to, msg });
-            }
-            // Settle.
-            if !slot.session.is_settled() {
-                continue;
-            }
-            if let Some(outcome) = slot.session.take_outcome() {
-                let Some(cur) = slot.current.take() else { continue };
-                let net = NetOutcome::from_session(outcome, &cur.op, cur.start.elapsed());
-                self.tracer.record_settle(
-                    trace_actor(slot.session.id(), slot.session.reg()),
-                    matches!(cur.op, Op::Write(_)),
-                    net.rounds,
-                    net.fast,
-                    cur.start.elapsed().as_micros() as u64,
-                    slot.session.span(),
-                );
-                append_history(
-                    &self.history,
-                    slot.session.reg(),
-                    slot.session.id(),
-                    cur.op,
-                    cur.invoked_at,
-                    Some((now, &net)),
-                    (cur.msgs, cur.bytes),
-                );
-                let _ = cur.reply.send(Ok(net));
-                // Wake the op's future (if any) only now, *after* the
-                // reply is observable in the channel.
-                drop(cur.notify);
-            } else if let Some(err) = slot.session.take_failure() {
-                let Some(cur) = slot.current.take() else { continue };
-                let err: NetError = err.into();
-                self.tracer.record_failure(
-                    trace_actor(slot.session.id(), slot.session.reg()),
-                    matches!(cur.op, Op::Write(_)),
-                    err.fail_reason(),
-                    slot.session.span(),
-                );
-                append_history(
-                    &self.history,
-                    slot.session.reg(),
-                    slot.session.id(),
-                    cur.op,
-                    cur.invoked_at,
-                    None,
-                    (cur.msgs, cur.bytes),
-                );
-                let _ = cur.reply.send(Err(err));
-                drop(cur.notify);
             }
         }
     }
+}
+
+/// Resolve one operation: trace it, append its history record, send
+/// the reply — and only then drop the notify guard, so the op's future
+/// (if any) wakes after the reply is observable.
+fn resolve(
+    history: &Arc<Mutex<History>>,
+    tracer: &lucky_trace::Tracer,
+    session: &ClientSession,
+    cur: Current,
+    result: Result<NetOutcome, NetError>,
+    now: Time,
+) {
+    let actor = trace_actor(session.id(), session.reg());
+    let write = matches!(cur.op, Op::Write(_));
+    let completion = match &result {
+        Ok(net) => {
+            tracer.record_settle(
+                actor,
+                write,
+                net.rounds,
+                net.fast,
+                net.elapsed.as_micros() as u64,
+                session.span(),
+            );
+            Some((now, net))
+        }
+        Err(err) => {
+            tracer.record_failure(actor, write, err.fail_reason(), session.span());
+            None
+        }
+    };
+    append_history(
+        history,
+        session.reg(),
+        session.id(),
+        cur.op,
+        cur.invoked_at,
+        completion,
+        (cur.msgs, cur.bytes),
+    );
+    let _ = cur.reply.send(result);
+    drop(cur.notify);
 }
 
 /// Dispose of a socket whose `set_nonblocking` failed. The practical
@@ -526,9 +530,7 @@ fn discard_broken(socket: impl std::os::fd::AsRawFd) {
     std::mem::forget(socket);
 }
 
-/// Hand decoded packet parts to their sessions. Parts addressed to a
-/// process this worker does not host (only hostile frames produce one)
-/// count as dropped, mirroring the fabric's accounting.
+/// Hand decoded packet parts to their sessions.
 fn dispatch(
     parts: &[(ProcessId, ProcessId, Message)],
     by_pid: &BTreeMap<ProcessId, (RegisterId, u32)>,
@@ -537,22 +539,38 @@ fn dispatch(
     now: Time,
 ) {
     for (from, to, msg) in parts {
-        match by_pid.get(to).and_then(|key| sessions.get_mut(key)) {
-            Some(slot) => {
-                slot.credit_delivery(msg);
-                slot.session.handle(Input::Deliver(*from, msg.clone()), now);
-            }
-            None => stats.lock().dropped += msg.part_count() as u64,
+        deliver(by_pid, sessions, stats, *from, *to, msg.clone(), now);
+    }
+}
+
+/// Hand one protocol message to the session of its recipient. A message
+/// addressed to a process this worker does not host (only hostile
+/// frames produce one) counts as dropped, mirroring the fabric's
+/// accounting.
+fn deliver(
+    by_pid: &BTreeMap<ProcessId, (RegisterId, u32)>,
+    sessions: &mut BTreeMap<(RegisterId, u32), PolledSlot>,
+    stats: &Arc<Mutex<NetStats>>,
+    from: ProcessId,
+    to: ProcessId,
+    msg: Message,
+    now: Time,
+) {
+    match by_pid.get(&to).and_then(|key| sessions.get_mut(key)) {
+        Some(slot) => {
+            slot.credit_delivery(&msg);
+            slot.session.handle(Input::Deliver(from, msg), now);
         }
+        None => stats.lock().dropped += msg.part_count() as u64,
     }
 }
 
 /// Append one finished (or abandoned) operation to the shared history —
-/// the single recording path for all shard-worker kinds. `completion`
+/// the single recording path of the shard worker. `completion`
 /// is `None` for a failed operation (it stays an incomplete record, so
 /// the checkers treat it as pending, never as a bogus completion).
 /// `traffic` is the op's `(msgs, bytes)` attribution, counted by the
-/// driver while the op was pending — the same population the sim world
+/// worker while the op was pending — the same population the sim world
 /// records, so sim-vs-net comparisons read real numbers.
 pub(crate) fn append_history(
     history: &Arc<Mutex<History>>,
@@ -595,16 +613,32 @@ pub(crate) fn append_history(
 #[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
     use lucky_core::runtime::{SessionConfig, Setup};
     use lucky_core::ProtocolConfig;
     use lucky_types::Params;
-    use std::os::fd::AsRawFd;
+    use std::os::fd::OwnedFd;
+    use std::os::unix::fs::OpenOptionsExt;
+    use std::sync::atomic::AtomicU64;
+    use std::sync::mpsc::channel;
+
+    /// A listener whose every socket call fails with `EBADF` although
+    /// its descriptor is open and ours: an `O_PATH` handle on `/`.
+    /// Closing a real listener's descriptor instead would free its
+    /// number for whatever a parallel test opens next — and the
+    /// degradation path would then operate on that test's socket.
+    fn unusable_listener() -> TcpListener {
+        const O_PATH: i32 = 0o10_000_000;
+        let file = std::fs::OpenOptions::new()
+            .read(true)
+            .custom_flags(O_PATH)
+            .open("/")
+            .expect("open an O_PATH handle");
+        TcpListener::from(OwnedFd::from(file))
+    }
 
     fn one_session_worker(
-        listener: TcpListener,
         deadline_micros: u64,
-    ) -> (PolledWorker, Sender<Job>, Arc<Mutex<NetStats>>) {
+    ) -> (PolledWorker, Sender<WorkerInput>, Arc<Mutex<NetStats>>) {
         let setup = Setup::from(Params::new(1, 0, 1, 0).unwrap());
         let protocol = ProtocolConfig { timer_micros: 1_000, ..ProtocolConfig::default() };
         let session = setup.make_writer_session(
@@ -618,43 +652,33 @@ mod tests {
         sessions.insert(key, PolledSlot::new(session));
         let mut by_pid = BTreeMap::new();
         by_pid.insert(pid, key);
-        let (job_tx, job_rx) = unbounded::<Job>();
+        let (input_tx, input_rx) = channel::<WorkerInput>();
         // The router receiver drops immediately: this worker's sends go
-        // nowhere by design (advance() ignores router send errors).
-        let (router_tx, _router_rx) = unbounded::<Envelope>();
+        // nowhere by design (sends ignore router errors).
+        let (router_tx, _router_rx) = channel::<Envelope>();
         let stats = Arc::new(Mutex::new(NetStats::default()));
-        let tracer = Arc::new(lucky_trace::Tracer::new(lucky_trace::TraceConfig::disabled()));
         let worker = PolledWorker {
             sessions,
             by_pid,
-            jobs: job_rx,
+            input: input_rx,
             router: router_tx,
-            io: PollIo::tcp(listener, &stats, &tracer),
             history: Arc::new(Mutex::new(History::new())),
             stats: Arc::clone(&stats),
             epoch: Instant::now(),
-            tracer,
+            tracer: Arc::new(lucky_trace::Tracer::new(lucky_trace::TraceConfig::disabled())),
         };
-        (worker, job_tx, stats)
+        (worker, input_tx, stats)
     }
 
     #[test]
     fn sabotaged_listener_degrades_instead_of_panicking() {
-        // Close the listener's descriptor out from under it: the next
-        // fcntl (set_nonblocking) fails with EBADF. The old code
-        // `.expect()`ed here and killed the whole shard worker.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        epoll::close_fd(listener.as_raw_fd());
+        // `set_nonblocking` on the listener fails with EBADF: the
+        // worker must absorb it, not `.expect()` it and die.
         let stats = Arc::new(Mutex::new(NetStats::default()));
         let tracer = lucky_trace::Tracer::new(lucky_trace::TraceConfig::disabled());
-        let io = PollIo::tcp(listener, &stats, &tracer);
-        match &io {
-            PollIo::Tcp { listener, conns } => {
-                assert!(listener.is_none(), "unusable listener is abandoned, not kept blocking");
-                assert!(conns.is_empty());
-            }
-            PollIo::Channel(_) => panic!("tcp() builds a Tcp source"),
-        }
+        let io = SocketIo::new(unusable_listener(), &stats, &tracer);
+        assert!(io.listener().is_none(), "unusable listener is abandoned, not kept blocking");
+        assert!(io.conns.is_empty());
         assert_eq!(stats.lock().io_errors, 1, "the degradation is counted");
     }
 
@@ -663,24 +687,28 @@ mod tests {
         // A worker whose listener was abandoned at setup keeps running:
         // the submitted op can never receive acks, so it fails with
         // TimedOut at its deadline — and the worker then exits cleanly
-        // when the job sender drops, instead of having panicked.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        epoll::close_fd(listener.as_raw_fd());
-        let (worker, job_tx, stats) = one_session_worker(listener, 50_000);
+        // when stopped, instead of having panicked.
+        let (worker, input, stats) = one_session_worker(50_000);
+        let reactor =
+            Reactor::new(unusable_listener(), &stats, &worker.tracer, Arc::new(AtomicU64::new(0)))
+                .expect("epoll and eventfd are available");
         assert_eq!(stats.lock().io_errors, 1);
-        let handle = std::thread::spawn(move || worker.run());
-        let (reply, rx) = unbounded();
-        job_tx
-            .send(Job {
+        let wake = reactor.waker();
+        let handle = std::thread::spawn(move || worker.run(Wait::Epoll(reactor)));
+        let (reply, rx) = channel();
+        input
+            .send(WorkerInput::Job(Job {
                 slot: (RegisterId(0), 0),
                 op: Op::Write(lucky_types::Value::from_u64(1)),
                 reply,
                 notify: None,
-            })
+            }))
             .unwrap();
+        wake.wake();
         let result = rx.recv_timeout(Duration::from_secs(5)).expect("worker still answers");
         assert_eq!(result.unwrap_err(), NetError::TimedOut);
-        drop(job_tx);
+        input.send(WorkerInput::Stop).unwrap();
+        wake.wake();
         handle.join().expect("worker exits cleanly, no panic");
     }
 }

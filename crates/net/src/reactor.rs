@@ -1,47 +1,44 @@
-//! The epoll reactor worker: [`Driver::Reactor`]'s engine.
+//! The epoll wait of a shard worker ([`Wait::Epoll`](crate::polled::Wait)).
 //!
-//! A [`ReactorWorker`] wraps the *same* [`PolledWorker`] state machine
-//! the polled driver runs — sessions, job queues, frame decoding,
-//! settle logic are all shared — and swaps the readiness source: where
-//! the polled loop sleeps up to `POLL_TICK` and re-polls, the reactor
-//! blocks in `epoll_wait` with
+//! A [`Reactor`] is built by `NetStoreBuilder::build` for a worker under
+//! `Transport::Tcp` — before the fabric, so a worker without one gets
+//! fabric reader threads instead — and owns the worker's socket input.
+//! Between passes of the [`PolledWorker`] it blocks in `epoll_wait` with
 //! [`ClientSession::next_wake`](lucky_core::runtime::ClientSession::next_wake)
 //! armed on a dedicated `timerfd`, so
 //!
 //! * an idle worker costs **zero** CPU (no tick, no park loop — it
 //!   sleeps in the kernel until a job, a byte, or a timer), and
-//! * a ready worker wakes in microseconds instead of up to one tick,
-//!   and a *timer* wakes at nanosecond granularity instead of the
-//!   whole-millisecond rounding `epoll_wait`'s timeout argument
-//!   imposes (which used to cost ~0.5 ms/op on idle-sequential
-//!   workloads vs the polled driver's 500 µs tick).
+//! * a timer wakes at nanosecond granularity instead of the
+//!   whole-millisecond rounding `epoll_wait`'s timeout argument imposes.
 //!
 //! Registered interests:
 //!
 //! | token | fd | wakes the loop when |
 //! |---|---|---|
-//! | `TOKEN_WAKE` | eventfd | a job is submitted / senders drop |
+//! | `TOKEN_WAKE` | eventfd | an input is sent to the worker |
 //! | `TOKEN_LISTENER` | the slot's listener | the router connects |
 //! | `TOKEN_TIMER` | timerfd | the next session timer is due |
 //! | `TOKEN_CONN + i` | accepted conn `i` | protocol bytes arrive |
 //!
-//! Job submission wakes the eventfd via [`JobPort`](crate::store): the
-//! store's handles send on the job channel *then* write the eventfd.
+//! Inputs wake the eventfd via `JobPort` (`crate::store`): a register
+//! handle sends on the worker's input channel *then* writes the eventfd.
 //!
-//! Every failure path degrades rather than dies: if no epoll instance
-//! or eventfd can be had (or the listener cannot register), the worker
-//! falls back to the portable polled loop; if no timerfd can be had
-//! (or arming one fails), the loop falls back to `epoll_wait`'s
-//! millisecond-rounded timeout; a connection that fails to register is
-//! dropped alone. Each degradation counts one
+//! Every failure after construction degrades rather than dies: if no
+//! timerfd can be had (or arming one fails), the wait falls back to
+//! `epoll_wait`'s millisecond-rounded timeout; a connection that fails
+//! to register is dropped alone. Each degradation counts one
 //! [`NetStats::io_errors`](crate::NetStats::io_errors).
 
-use crate::polled::PolledWorker;
+use crate::polled::{PolledWorker, SocketIo};
+use crate::router::NetStats;
 use epoll::{Epoll, Events, TimerFd, WakeFd};
+use parking_lot::Mutex;
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Token of the job-submission eventfd.
+/// Token of the input-wake eventfd.
 const TOKEN_WAKE: u64 = 0;
 /// Token of the worker's loopback listener.
 const TOKEN_LISTENER: u64 = 1;
@@ -51,133 +48,122 @@ const TOKEN_TIMER: u64 = 2;
 /// `TOKEN_CONN + i`.
 const TOKEN_CONN: u64 = 3;
 
-/// One shard worker driven by epoll. Construct with the shared
-/// [`PolledWorker`] state plus the wake eventfd the store's
-/// [`JobPort`](crate::store)s write, then call [`ReactorWorker::run`]
-/// on a dedicated thread.
-pub(crate) struct ReactorWorker {
-    pub(crate) worker: PolledWorker,
-    pub(crate) wake: Arc<WakeFd>,
+/// One worker's epoll set and the socket input it watches.
+pub(crate) struct Reactor {
+    epoll: Epoll,
+    wake: Arc<WakeFd>,
+    /// `None` when no timerfd could be had: timeouts then round up to
+    /// whole milliseconds.
+    timer: Option<TimerFd>,
+    io: SocketIo,
+    events: Events,
     /// Shared with `NetStore::stats()`: counts every `epoll_wait`
     /// return, pinning the idle-burns-nothing property in tests.
-    pub(crate) wakeups: Arc<AtomicU64>,
+    wakeups: Arc<AtomicU64>,
 }
 
-impl ReactorWorker {
-    /// Run until the job senders drop and every session drains. Any
-    /// reactor-setup failure degrades to the polled loop (counted in
-    /// `io_errors`) — same protocol behaviour, worse latency.
-    pub(crate) fn run(mut self) {
-        let (mut epoll, timer) = match self.setup() {
-            Ok(pair) => pair,
-            Err(()) => {
-                self.worker.stats.lock().io_errors += 1;
-                return self.worker.run();
-            }
-        };
-        let mut events = Events::new();
-        let mut jobs_open = true;
-        loop {
-            self.worker.drain_jobs(&mut jobs_open);
-            self.worker.fire_due_wakes();
-            self.worker.advance();
-            if !jobs_open && self.worker.all_idle() {
-                return;
-            }
-            // Sleep in the kernel until IO, a job, or the next session
-            // timer. The timer is a timerfd armed with the *exact*
-            // next-wake delay (re-armed every iteration — settime
-            // replaces the old setting and clears stale expiry), so the
-            // wait itself can block indefinitely at full precision. No
-            // timer fd (or a failed arm) falls back to epoll_wait's
-            // millisecond-rounded timeout; no deadline at all → block
-            // until the eventfd or a socket wakes us.
-            let delay = self.worker.next_wake_delay();
-            let timeout = match (&timer, delay) {
-                (Some(t), Some(d)) => {
-                    if t.arm(d).is_ok() {
-                        None
-                    } else {
-                        Some(d)
-                    }
-                }
-                (Some(t), None) => {
-                    let _ = t.disarm();
-                    None
-                }
-                (None, d) => d,
-            };
-            if let Err(_e) = epoll.wait(&mut events, timeout) {
-                self.worker.stats.lock().io_errors += 1;
-                std::thread::sleep(std::time::Duration::from_millis(1));
-                continue;
-            }
-            self.wakeups.fetch_add(1, Ordering::Relaxed);
-            for event in events.iter() {
-                match event.token {
-                    TOKEN_WAKE => self.wake.drain(),
-                    TOKEN_LISTENER => self.accept_and_register(&epoll),
-                    TOKEN_TIMER => {
-                        if let Some(t) = &timer {
-                            t.drain();
-                        }
-                    }
-                    token => {
-                        let i = (token - TOKEN_CONN) as usize;
-                        self.worker.read_conn(i);
-                        // A dropped conn's fd closed with it, which
-                        // deregistered it from the epoll set; the slab
-                        // hole is reused (and re-registered) by the
-                        // next accept.
-                    }
-                }
-            }
-        }
-    }
-
-    /// Build the epoll set: wake eventfd + listener + deadline timerfd.
-    /// `Err(())` means no reactor is possible here and the caller falls
-    /// back; a missing *timer* alone is not fatal (the loop degrades to
-    /// millisecond-rounded timeouts, counted as one io_error).
-    fn setup(&mut self) -> Result<(Epoll, Option<TimerFd>), ()> {
-        let epoll = Epoll::new().map_err(|_| ())?;
-        epoll.add(self.wake.as_ref(), TOKEN_WAKE).map_err(|_| ())?;
-        // A degraded PollIo (listener lost at setup, None here) already
-        // counted its io_error; the reactor still runs for jobs + timers
-        // so queued ops fail by deadline instead of hanging forever.
-        if let Some(listener) = self.worker.listener() {
-            epoll.add(listener, TOKEN_LISTENER).map_err(|_| ())?;
+impl Reactor {
+    /// Build the epoll set around a bound listener: wake eventfd +
+    /// listener + deadline timerfd.
+    ///
+    /// # Errors
+    ///
+    /// Any failure to create the epoll instance or the eventfd, or to
+    /// register either fd: the worker then waits on its input channel
+    /// instead. A listener that cannot be made nonblocking is abandoned
+    /// and a missing timer degrades — each counted in `io_errors` —
+    /// without failing the construction.
+    pub(crate) fn new(
+        listener: TcpListener,
+        stats: &Arc<Mutex<NetStats>>,
+        tracer: &lucky_trace::Tracer,
+        wakeups: Arc<AtomicU64>,
+    ) -> std::io::Result<Reactor> {
+        let epoll = Epoll::new()?;
+        let wake = Arc::new(WakeFd::new()?);
+        epoll.add(wake.as_ref(), TOKEN_WAKE)?;
+        // A degraded listener (already counted) leaves the worker
+        // running for jobs + timers, so its ops fail by deadline
+        // instead of hanging forever.
+        let io = SocketIo::new(listener, stats, tracer);
+        if let Some(listener) = io.listener() {
+            epoll.add(listener, TOKEN_LISTENER)?;
         }
         let timer = TimerFd::new().ok().and_then(|t| epoll.add(&t, TOKEN_TIMER).ok().map(|()| t));
         if timer.is_none() {
-            self.worker.stats.lock().io_errors += 1;
+            stats.lock().io_errors += 1;
         }
-        Ok((epoll, timer))
+        Ok(Reactor { epoll, wake, timer, io, events: Events::new(), wakeups })
+    }
+
+    /// The eventfd that interrupts this reactor's `epoll_wait`.
+    pub(crate) fn waker(&self) -> Arc<WakeFd> {
+        Arc::clone(&self.wake)
+    }
+
+    /// Where the router's sink connects (`None` once the listener was
+    /// abandoned).
+    pub(crate) fn local_addr(&self) -> Option<std::net::SocketAddr> {
+        self.io.listener().and_then(|l| l.local_addr().ok())
+    }
+
+    /// Sleep in the kernel until IO, an input, or the worker's next
+    /// session timer, then read whatever arrived.
+    pub(crate) fn wait(&mut self, worker: &mut PolledWorker) {
+        // The timer is a timerfd armed with the *exact* next-wake delay
+        // (re-armed every pass — settime replaces the old setting and
+        // clears stale expiry), so the wait itself can block
+        // indefinitely at full precision. No timer fd (or a failed arm)
+        // falls back to epoll_wait's millisecond-rounded timeout; no
+        // wake due at all → block until the eventfd or a socket.
+        let delay = worker.next_wake_delay();
+        let timeout = match (&self.timer, delay) {
+            (Some(t), Some(d)) => t.arm(d).is_err().then_some(d),
+            (Some(t), None) => {
+                let _ = t.disarm();
+                None
+            }
+            (None, d) => d,
+        };
+        if self.epoll.wait(&mut self.events, timeout).is_err() {
+            worker.stats.lock().io_errors += 1;
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            return;
+        }
+        self.wakeups.fetch_add(1, Ordering::Relaxed);
+        // Moved out (not copied) so the handlers below may borrow self.
+        let events = std::mem::take(&mut self.events);
+        for event in events.iter() {
+            match event.token {
+                TOKEN_WAKE => self.wake.drain(),
+                TOKEN_LISTENER => self.accept_and_register(worker),
+                TOKEN_TIMER => {
+                    if let Some(t) = &self.timer {
+                        t.drain();
+                    }
+                }
+                // A dropped conn's fd closed with it, which deregistered
+                // it from the epoll set; the slab hole is reused (and
+                // re-registered) by the next accept.
+                token => worker.read_conn(&mut self.io, (token - TOKEN_CONN) as usize),
+            }
+        }
+        self.events = events;
     }
 
     /// Accept whatever the router connected and register each new
     /// connection; one that fails to register is dropped alone.
-    fn accept_and_register(&mut self, epoll: &Epoll) {
-        for i in self.worker.accept_new() {
-            let Some(stream) = self.worker.conn_stream(i) else { continue };
-            if epoll.add(stream, TOKEN_CONN + i as u64).is_err() {
-                self.worker.stats.lock().io_errors += 1;
-                self.worker.drop_conn(i);
+    fn accept_and_register(&mut self, worker: &mut PolledWorker) {
+        for i in worker.accept_new(&mut self.io) {
+            let Some(stream) = self.io.conn_stream(i) else { continue };
+            if self.epoll.add(stream, TOKEN_CONN + i as u64).is_err() {
+                worker.stats.lock().io_errors += 1;
+                self.io.drop_conn(i);
                 continue;
             }
-            // Bytes may have raced ahead of the registration: drain once
-            // now, since level-triggered epoll only reports what arrives
-            // while registered... (it reports existing readiness too,
-            // but a read here costs nothing and simplifies reasoning).
-            self.worker.read_conn(i);
+            // Bytes may have raced ahead of the registration; reading
+            // now costs nothing and keeps the reasoning simple.
+            worker.read_conn(&mut self.io, i);
         }
-    }
-}
-
-impl std::fmt::Debug for ReactorWorker {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReactorWorker")
-            .field("wakeups", &self.wakeups.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
     }
 }

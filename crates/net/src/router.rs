@@ -13,7 +13,7 @@
 //! back-to-back, preserving sender identity (the channel, not the
 //! payload, authenticates the sender — a batch can never forge one).
 
-use crossbeam::channel::{Receiver, Sender};
+use crate::polled::WorkerInput;
 use lucky_types::{BatchConfig, Message, ProcessId, RegisterId, ServerId};
 use lucky_wire::PacketPart;
 use parking_lot::Mutex;
@@ -22,6 +22,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BinaryHeap};
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -53,8 +54,31 @@ pub(crate) enum Envelope {
         /// The new write stream, or `None` to sever.
         stream: Option<TcpStream>,
     },
-    /// Tear the cluster down.
+    /// Tear the store down.
     Stop,
+}
+
+/// Where a delivered message lands (from the router under
+/// [`Transport::Channel`](crate::Transport::Channel), from a slot's
+/// reader threads under TCP): a server thread's inbox, or the input
+/// channel of a shard worker that waits on it. A worker's channel also
+/// carries jobs, so each delivery names its recipient.
+#[derive(Clone)]
+pub(crate) enum Inbox {
+    /// A server thread's inbox.
+    Server(Sender<(ProcessId, Message)>),
+    /// A channel-waiting shard worker's input channel.
+    Worker(Sender<WorkerInput>),
+}
+
+impl Inbox {
+    /// Deliver `msg` from `from` to `to`; `false` if the inbox closed.
+    pub(crate) fn send(&self, from: ProcessId, to: ProcessId, msg: Message) -> bool {
+        match self {
+            Inbox::Server(tx) => tx.send((from, msg)).is_ok(),
+            Inbox::Worker(tx) => tx.send(WorkerInput::Deliver { from, to, msg }).is_ok(),
+        }
+    }
 }
 
 /// Per-register traffic counters (one entry of [`NetStats::per_register`]).
@@ -112,8 +136,7 @@ pub struct GroupStats {
     pub lucky_ratio: f64,
 }
 
-/// Counters the router maintains; readable via `NetCluster::stats` /
-/// `NetStore::stats`.
+/// Counters the router maintains; readable via `NetStore::stats`.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct NetStats {
     /// Wire messages routed: a batch counts **once** — this is the
@@ -167,13 +190,15 @@ pub struct NetStats {
     pub log_bytes: u64,
     /// Socket-setup failures absorbed without killing a worker thread: a
     /// connection (or listener) that could not be made nonblocking and
-    /// was dropped, or an epoll registration/wait that failed and made a
-    /// reactor degrade. Each one costs at most the affected connection;
-    /// the worker and its other sessions keep running.
+    /// was dropped, an epoll set that could not be built (the worker
+    /// then waits on its input channel, fed by fabric reader threads),
+    /// or an epoll registration/wait that failed. Each one costs at most
+    /// the affected connection; the worker and its other sessions keep
+    /// running.
     pub io_errors: u64,
-    /// Times a reactor worker returned from `epoll_wait` (for any
+    /// Times an epoll-waiting worker returned from `epoll_wait` (for any
     /// reason: IO readiness, job-submission wake, or timer timeout).
-    /// Zero for non-reactor drivers. An *idle* reactor adds nothing
+    /// Zero for channel-waiting workers. An *idle* worker adds nothing
     /// here — the no-busy-wait property `tests/reactor.rs` pins.
     pub reactor_wakeups: u64,
     /// Frame buffers the TCP encode path had to **allocate** because no
@@ -292,7 +317,7 @@ impl NetStats {
 /// Where wire traffic can be coalesced: the destination's socket-slot.
 /// Servers get one slot each; client processes map to the shard worker
 /// that hosts their core (so acks bound for cores on one worker share a
-/// wire). Built by the cluster/store builders.
+/// wire). Built by the store builder.
 pub(crate) type SlotMap = BTreeMap<ProcessId, usize>;
 
 /// One part of a wire message: sender, recipient, payload.
@@ -362,11 +387,11 @@ pub(crate) struct RouterConfig {
     pub(crate) sinks: Option<BTreeMap<usize, TcpStream>>,
 }
 
-/// Spawn the router thread (shared by `NetCluster` and `NetStore`).
+/// Spawn the router thread.
 pub(crate) fn spawn_router(
     name: &str,
     rx: Receiver<Envelope>,
-    inboxes: BTreeMap<ProcessId, Sender<(ProcessId, Message)>>,
+    inboxes: BTreeMap<ProcessId, Inbox>,
     cfg: RouterConfig,
     stats: Arc<Mutex<NetStats>>,
 ) -> std::thread::JoinHandle<()> {
@@ -392,7 +417,7 @@ const FRAME_POOL_CAP: usize = 64;
 
 struct Router {
     rx: Receiver<Envelope>,
-    inboxes: BTreeMap<ProcessId, Sender<(ProcessId, Message)>>,
+    inboxes: BTreeMap<ProcessId, Inbox>,
     cfg: RouterConfig,
     stats: Arc<Mutex<NetStats>>,
     /// Recycled payload scratch for the TCP encode path.
@@ -424,8 +449,8 @@ impl Router {
                     }
                     Ok(Envelope::Sink { slot, stream }) => self.swap_sink(slot, stream),
                     Ok(Envelope::Stop) => return,
-                    Err(crossbeam::channel::TryRecvError::Empty) => break,
-                    Err(crossbeam::channel::TryRecvError::Disconnected) => return,
+                    Err(TryRecvError::Empty) => break,
+                    Err(TryRecvError::Disconnected) => return,
                 }
             }
             // Deliver everything due.
@@ -462,8 +487,8 @@ impl Router {
                         }
                         Ok(Envelope::Sink { slot, stream }) => self.swap_sink(slot, stream),
                         Ok(Envelope::Stop) => return,
-                        Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                        Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
+                        Err(RecvTimeoutError::Timeout) => {}
+                        Err(RecvTimeoutError::Disconnected) => return,
                     }
                 }
                 None => match self.rx.recv() {
@@ -728,7 +753,7 @@ impl Router {
                     // batch counts each of its parts.
                     let lost = msg.part_count() as u64;
                     match self.inboxes.get(&to) {
-                        Some(tx) if tx.send((from, msg)).is_ok() => {}
+                        Some(inbox) if inbox.send(from, to, msg) => {}
                         _ => self.stats.lock().dropped += lost,
                     }
                 }

@@ -1,9 +1,10 @@
-//! The multi-register store over the threaded runtime.
+//! The multi-register store: the runtime's one assembly path.
 //!
 //! One router thread and one set of server threads (each multiplexing
 //! per-register state through `lucky-core`'s `RegisterMux`) serve a whole
 //! namespace of registers. Client cores are **sharded across worker
-//! threads by register**: a register's writer core lands on worker
+//! threads by register** (each worker one `PolledWorker` multiplexing
+//! its sessions): a register's writer core lands on worker
 //! `hash(RegisterId)` and its reader cores on the neighbouring workers,
 //! so operations on independent registers proceed concurrently over the
 //! shared router — and a register's READs can overlap its WRITE, exactly
@@ -17,26 +18,26 @@
 //! [`OpTicket`], letting one caller thread drive many registers at once.
 
 use crate::cluster::{
-    assert_one_fault_per_server, spawn_server_thread, ClientDriver, HandleError, NetConfig,
-    NetError, NetOutcome, ServerCtl,
+    assert_one_fault_per_server, spawn_server_thread, HandleError, NetConfig, NetError, NetOutcome,
+    ServerCtl,
 };
 use crate::future::{NotifyGuard, OpFuture, OpNotify};
-use crate::polled::{append_history, Driver, Job, PollIo, PolledSlot, PolledWorker};
-use crate::reactor::ReactorWorker;
-use crate::router::{spawn_router, Envelope, NetStats, RouterConfig, SlotMap};
+use crate::polled::{Driver, Job, PolledSlot, PolledWorker, Wait, WorkerInput};
+use crate::reactor::Reactor;
+use crate::router::{spawn_router, Envelope, Inbox, NetStats, RouterConfig, SlotMap};
 use crate::tcp::{build_fabric, TcpFabric, Transport};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use epoll::WakeFd;
 use lucky_core::runtime::ServerCore;
 use lucky_core::{ProtocolConfig, SessionConfig, Setup, StoreConfig};
 use lucky_log::{DurableBackend, LogCounters};
-use lucky_types::{BatchConfig, History, Op, ProcessId, RegisterId, ServerId, Time, Value};
+use lucky_types::{BatchConfig, History, Op, ProcessId, RegisterId, ServerId, Value};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -44,7 +45,7 @@ use std::time::Instant;
 /// Key of a register's writer core within its worker (readers are `j+1`).
 const WRITER_SLOT: u32 = 0;
 
-/// Builder for a threaded multi-register store.
+/// Builder for a multi-register store.
 pub struct NetStoreBuilder {
     setup: Setup,
     cfg: NetConfig,
@@ -54,7 +55,6 @@ pub struct NetStoreBuilder {
     protocol: ProtocolConfig,
     batch: BatchConfig,
     transport: Transport,
-    driver: Driver,
     byzantine: BTreeMap<u16, Box<dyn ServerCore>>,
     crashed: Vec<u16>,
     durable_dir: Option<PathBuf>,
@@ -133,22 +133,21 @@ impl NetStoreBuilder {
     /// `lucky-wire`, framed, written to the destination slot's socket
     /// and reassembled on the far side — and
     /// [`NetStats::wire_bytes`] reports the true framed byte count.
+    /// The transport also decides how each shard worker waits: in
+    /// `epoll_wait` on its own socket under TCP (when epoll can be set
+    /// up), on its input channel otherwise.
     #[must_use]
     pub fn transport(mut self, transport: Transport) -> Self {
         self.transport = transport;
         self
     }
 
-    /// Client-driving strategy (default [`Driver::Threaded`]). Under
-    /// [`Driver::Polled`] each shard worker runs a nonblocking
-    /// readiness-style poll loop multiplexing all of its client
-    /// sessions on one thread — operations on different sessions of one
-    /// worker proceed concurrently, and under [`Transport::Tcp`] the
-    /// worker reads its own socket (no per-connection reader threads).
-    /// The handle/ticket API is identical under both drivers.
+    /// Client-driving strategy. **Single-valued**: [`Driver`] has one
+    /// variant and every store runs the same multiplexing shard worker,
+    /// so this changes nothing; it remains so existing
+    /// `.driver(Driver::Reactor)` calls keep compiling.
     #[must_use]
-    pub fn driver(mut self, driver: Driver) -> Self {
-        self.driver = driver;
+    pub fn driver(self, _driver: Driver) -> Self {
         self
     }
 
@@ -198,7 +197,19 @@ impl NetStoreBuilder {
     ///
     /// Panics if the reader namespace exceeds the `ReaderId` range, or
     /// if a server index is configured both crashed and Byzantine.
-    pub fn build(mut self) -> NetStore {
+    pub fn build(self) -> NetStore {
+        self.assemble(true)
+    }
+
+    /// [`NetStoreBuilder::build`] as if no epoll set could be had: every
+    /// TCP shard worker then waits on its input channel, fed by fabric
+    /// reader threads.
+    #[cfg(test)]
+    pub(crate) fn build_without_epoll(self) -> NetStore {
+        self.assemble(false)
+    }
+
+    fn assemble(mut self, epoll: bool) -> NetStore {
         assert!(
             self.registers * self.readers_per_register <= u16::MAX as usize,
             "reader namespace exceeds the ReaderId range"
@@ -206,74 +217,70 @@ impl NetStoreBuilder {
         assert_one_fault_per_server(&self.crashed, &self.byzantine);
         let protocol =
             ProtocolConfig { timer_micros: self.cfg.timer.as_micros() as u64, ..self.protocol };
-        let (router_tx, router_rx) = unbounded::<Envelope>();
-        let mut inboxes = BTreeMap::new();
+        let (router_tx, router_rx) = channel::<Envelope>();
+        let mut inboxes: BTreeMap<ProcessId, Inbox> = BTreeMap::new();
         let mut server_threads = Vec::new();
+        let stats = Arc::new(Mutex::new(NetStats::default()));
+        let tracer = Arc::new(lucky_trace::Tracer::new(self.trace));
+        let wakeups = Arc::new(AtomicU64::new(0));
+        let shard_count = self.shards.unwrap_or_else(|| self.registers.min(4)).max(1);
+        let server_count = self.setup.server_count();
+
+        // How each shard worker waits, decided before anything is placed:
+        // under TCP a worker sleeps in `epoll_wait` on its own listener
+        // when an epoll set can be built around it; otherwise (channel
+        // transport, or no epoll) it waits on its input channel.
+        let inputs: Vec<(Sender<WorkerInput>, Receiver<WorkerInput>)> =
+            (0..shard_count).map(|_| channel()).collect();
+        let reactors: Vec<Option<Reactor>> = (0..shard_count)
+            .map(|_| {
+                if self.transport == Transport::Channel {
+                    return None;
+                }
+                let built = if epoll {
+                    TcpListener::bind("127.0.0.1:0")
+                        .and_then(|l| Reactor::new(l, &stats, &tracer, Arc::clone(&wakeups)))
+                } else {
+                    Err(std::io::ErrorKind::Unsupported.into())
+                };
+                built
+                    .map_err(|_| {
+                        stats.lock().io_errors += 1;
+                        tracer.note_io_error(
+                            0,
+                            "no epoll set for a shard worker; it waits on its channel instead",
+                        );
+                    })
+                    .ok()
+            })
+            .collect();
 
         // One session per client core, grouped by shard worker. The
         // router's socket-slot map mirrors the placement: a client
-        // process's wire traffic coalesces per hosting worker (the
-        // "socket" the worker drains), servers get one slot each. Both
-        // drivers share the placement and the session-configured
-        // deadline; they differ only in how the worker pumps I/O.
-        let shard_count = self.shards.unwrap_or_else(|| self.registers.min(4)).max(1);
-        let server_count = self.setup.server_count();
-        let mut slots: SlotMap = SlotMap::new();
+        // process's wire traffic coalesces per hosting worker, servers
+        // get one slot each. A channel-waiting worker's processes get an
+        // inbox on its input channel; an epoll worker's get none (their
+        // bytes land on the worker's own socket).
         let session_cfg = SessionConfig::with_deadline(self.cfg.op_deadline().as_micros() as u64);
-        assert!(
-            !(self.driver == Driver::Reactor && self.transport != Transport::Tcp),
-            "Driver::Reactor requires Transport::Tcp (epoll needs sockets to watch)"
-        );
-        // The polled and reactor drivers share the session-multiplexing
-        // worker (and thus all placement); the reactor only swaps the
-        // readiness source.
-        let polled = matches!(self.driver, Driver::Polled | Driver::Reactor);
-        // Under the polled/reactor driver + TCP, client traffic lands on
-        // the worker's own socket: client processes get no channel inbox.
-        let channel_clients = !(polled && self.transport == Transport::Tcp);
-        let mut shard_drivers: Vec<BTreeMap<(RegisterId, u32), ClientDriver>> =
-            (0..shard_count).map(|_| BTreeMap::new()).collect();
+        let mut slots: SlotMap = SlotMap::new();
         let mut shard_sessions: Vec<BTreeMap<(RegisterId, u32), PolledSlot>> =
             (0..shard_count).map(|_| BTreeMap::new()).collect();
-        let mut shard_inboxes: Vec<
-            BTreeMap<ProcessId, Receiver<(ProcessId, lucky_types::Message)>>,
-        > = (0..shard_count).map(|_| BTreeMap::new()).collect();
         let mut shard_pids: Vec<BTreeMap<ProcessId, (RegisterId, u32)>> =
             (0..shard_count).map(|_| BTreeMap::new()).collect();
-        let mut place = |pid: ProcessId,
-                         key: (RegisterId, u32),
-                         session: lucky_core::ClientSession,
-                         slots: &mut SlotMap,
-                         inboxes: &mut BTreeMap<
-            ProcessId,
-            Sender<(ProcessId, lucky_types::Message)>,
-        >| {
+        let mut place = |pid: ProcessId, key: (RegisterId, u32), session| {
             let worker = shard_for(key.0, key.1, shard_count);
             slots.insert(pid, server_count + worker);
-            let rx = channel_clients.then(|| {
-                let (tx, rx) = unbounded();
-                inboxes.insert(pid, tx);
-                rx
-            });
-            if polled {
-                if let Some(rx) = rx {
-                    shard_inboxes[worker].insert(pid, rx);
-                }
-                shard_pids[worker].insert(pid, key);
-                shard_sessions[worker].insert(key, PolledSlot::new(session));
-            } else {
-                let rx = rx.expect("threaded clients always own an inbox");
-                shard_drivers[worker]
-                    .insert(key, ClientDriver::new(session, rx, router_tx.clone()));
+            if reactors[worker].is_none() {
+                inboxes.insert(pid, Inbox::Worker(inputs[worker].0.clone()));
             }
+            shard_pids[worker].insert(pid, key);
+            shard_sessions[worker].insert(key, PolledSlot::new(session));
         };
         for reg in RegisterId::all(self.registers) {
             place(
                 ProcessId::writer(reg),
                 (reg, WRITER_SLOT),
                 self.setup.make_writer_session(reg, protocol, session_cfg),
-                &mut slots,
-                &mut inboxes,
             );
             for j in 0..self.readers_per_register as u16 {
                 let rid = reg.reader(self.readers_per_register, j);
@@ -281,8 +288,6 @@ impl NetStoreBuilder {
                     ProcessId::Reader(rid),
                     (reg, j as u32 + 1),
                     self.setup.make_reader_session(reg, rid, protocol, session_cfg),
-                    &mut slots,
-                    &mut inboxes,
                 );
             }
         }
@@ -298,8 +303,8 @@ impl NetStoreBuilder {
             if self.crashed.contains(&s.0) {
                 continue;
             }
-            let (tx, rx) = unbounded::<(ProcessId, lucky_types::Message)>();
-            inboxes.insert(ProcessId::Server(s), tx);
+            let (tx, rx) = channel::<(ProcessId, lucky_types::Message)>();
+            inboxes.insert(ProcessId::Server(s), Inbox::Server(tx));
             let core: Box<dyn ServerCore> = match self.byzantine.remove(&s.0) {
                 Some(byz) => byz,
                 None => store_server_core(
@@ -309,7 +314,7 @@ impl NetStoreBuilder {
                     s.0,
                 ),
             };
-            let (ctl_tx, ctl_rx) = unbounded::<ServerCtl>();
+            let (ctl_tx, ctl_rx) = channel::<ServerCtl>();
             ctl.insert(s.0, ctl_tx);
             server_threads.push(spawn_server_thread(
                 format!("lucky-store-server-{}", s.0),
@@ -321,32 +326,16 @@ impl NetStoreBuilder {
             ));
         }
 
-        // Under the polled driver + TCP, each worker owns its slot's
-        // listener (bound here so the router's sink can connect; the
-        // worker itself accepts and reads, nonblocking).
-        let mut worker_listeners: Vec<Option<TcpListener>> = (0..shard_count)
-            .map(|w| {
-                (polled && self.transport == Transport::Tcp).then(|| {
-                    let _ = w;
-                    TcpListener::bind("127.0.0.1:0").expect("bind polled-worker listener")
-                })
-            })
-            .collect();
-
         // Router thread — and, under TCP, the socket fabric between the
-        // router and the destination slots (servers + shard workers).
-        let stats = Arc::new(Mutex::new(NetStats::default()));
-        let tracer = Arc::new(lucky_trace::Tracer::new(self.trace));
+        // router and the destination slots. The fabric binds every slot
+        // with an inbox (servers, channel-waiting workers); an epoll
+        // worker's listener is its own, and only its sink is added here.
         let (fabric, sinks) = match self.transport {
             Transport::Channel => (None, None),
             Transport::Tcp => {
-                // The fabric builds receive sides only for slots hosting
-                // channel-inboxed processes; polled-worker slots read
-                // their own sockets, so only their sinks are added here.
                 let (fabric, mut sinks) = build_fabric("lucky-store", &slots, &inboxes, &stats);
-                for (w, listener) in worker_listeners.iter().enumerate() {
-                    if let Some(listener) = listener {
-                        let addr = listener.local_addr().expect("listener has an address");
+                for (w, reactor) in reactors.iter().enumerate() {
+                    if let Some(addr) = reactor.as_ref().and_then(Reactor::local_addr) {
                         let sink = std::net::TcpStream::connect(addr).expect("connect worker sink");
                         sink.set_nodelay(true).expect("set TCP_NODELAY");
                         sinks.insert(server_count + w, sink);
@@ -369,89 +358,42 @@ impl NetStoreBuilder {
             Arc::clone(&stats),
         );
 
-        // Shard workers: each owns its registers' client cores and a
-        // shared history it appends completed operations to. Threaded
-        // workers block per job; polled workers multiplex their
-        // sessions on one nonblocking loop; reactor workers do the same
-        // but sleep in `epoll_wait` (with an eventfd in their `JobPort`s
-        // so submissions can interrupt the sleep).
+        // Shard workers: each multiplexes its registers' sessions on one
+        // thread and appends completed operations to the shared history.
         let epoch = Instant::now();
         let history = Arc::new(Mutex::new(History::new()));
-        let wakeups = Arc::new(AtomicU64::new(0));
         let mut workers = Vec::new();
-        let mut worker_txs: Vec<JobPort> = Vec::new();
-        if polled {
-            let worker_parts =
-                shard_sessions.into_iter().zip(shard_inboxes).zip(shard_pids).enumerate();
-            for (w, ((sessions, inboxes), by_pid)) in worker_parts {
-                let (tx, rx) = unbounded::<Job>();
-                let io = match worker_listeners[w].take() {
-                    Some(listener) => PollIo::tcp(listener, &stats, &tracer),
-                    None => PollIo::Channel(inboxes),
-                };
-                let worker = PolledWorker {
-                    sessions,
-                    by_pid,
-                    jobs: rx,
-                    router: router_tx.clone(),
-                    io,
-                    history: Arc::clone(&history),
-                    stats: Arc::clone(&stats),
-                    epoch,
-                    tracer: Arc::clone(&tracer),
-                };
-                // The reactor needs a working eventfd to be woken for
-                // job submissions; without one (exotic platform, fd
-                // exhaustion) the worker degrades to the polled loop.
-                let wake = match self.driver {
-                    Driver::Reactor => match WakeFd::new() {
-                        Ok(wake) => Some(Arc::new(wake)),
-                        Err(_) => {
-                            stats.lock().io_errors += 1;
-                            tracer.note_io_error(
-                                0,
-                                "reactor eventfd unavailable; degrading to the polled loop",
-                            );
-                            None
-                        }
-                    },
-                    _ => None,
-                };
-                worker_txs.push(JobPort { tx, wake: wake.clone() });
-                let thread = match wake {
-                    Some(wake) => {
-                        let reactor = ReactorWorker { worker, wake, wakeups: Arc::clone(&wakeups) };
-                        std::thread::Builder::new()
-                            .name(format!("lucky-store-reactor-{w}"))
-                            .spawn(move || reactor.run())
-                    }
-                    None => std::thread::Builder::new()
-                        .name(format!("lucky-store-polled-{w}"))
-                        .spawn(move || worker.run()),
-                };
-                workers.push(thread.expect("spawn shard worker"));
-            }
-        } else {
-            for (w, drivers) in shard_drivers.into_iter().enumerate() {
-                let (tx, rx) = unbounded::<Job>();
-                worker_txs.push(JobPort { tx, wake: None });
-                let history = Arc::clone(&history);
-                let tracer = Arc::clone(&tracer);
-                workers.push(
-                    std::thread::Builder::new()
-                        .name(format!("lucky-store-shard-{w}"))
-                        .spawn(move || run_worker(drivers, rx, history, epoch, tracer))
-                        .expect("spawn shard worker"),
-                );
-            }
+        let mut ports: Vec<JobPort> = Vec::new();
+        let parts = shard_sessions.into_iter().zip(shard_pids).zip(inputs).zip(reactors);
+        for (w, (((sessions, by_pid), (tx, rx)), reactor)) in parts.enumerate() {
+            let worker = PolledWorker {
+                sessions,
+                by_pid,
+                input: rx,
+                router: router_tx.clone(),
+                history: Arc::clone(&history),
+                stats: Arc::clone(&stats),
+                epoch,
+                tracer: Arc::clone(&tracer),
+            };
+            ports.push(JobPort { tx, wake: reactor.as_ref().map(Reactor::waker) });
+            let wait = match reactor {
+                Some(reactor) => Wait::Epoll(reactor),
+                None => Wait::Channel,
+            };
+            workers.push(
+                std::thread::Builder::new()
+                    .name(format!("lucky-store-worker-{w}"))
+                    .spawn(move || worker.run(wait))
+                    .expect("spawn shard worker"),
+            );
         }
 
         let handles = RegisterId::all(self.registers)
             .map(|reg| {
-                // One sender per client core, following the same
-                // placement as the drivers above.
+                // One port per client core, following the placement above.
                 let slots = (0..=self.readers_per_register as u32)
-                    .map(|slot| worker_txs[shard_for(reg, slot, shard_count)].clone())
+                    .map(|slot| ports[shard_for(reg, slot, shard_count)].clone())
                     .collect();
                 (reg, NetRegisterHandle { reg, readers: self.readers_per_register, slots })
             })
@@ -462,7 +404,8 @@ impl NetStoreBuilder {
             router_thread: Some(router_thread),
             server_threads,
             fabric,
-            _workers: workers,
+            workers,
+            ports,
             handles,
             registers: self.registers,
             readers_per_register: self.readers_per_register,
@@ -480,34 +423,23 @@ impl NetStoreBuilder {
     }
 }
 
-/// A shard worker's job-submission endpoint: the job channel plus — for
-/// a reactor worker — the eventfd that interrupts its `epoll_wait`.
-/// Cloned into every register handle whose cores the worker hosts.
+/// A shard worker's input endpoint: its input channel plus — for an
+/// epoll worker — the eventfd that interrupts its `epoll_wait`. Cloned
+/// into every register handle whose cores the worker hosts.
 #[derive(Clone)]
 pub(crate) struct JobPort {
-    tx: Sender<Job>,
+    tx: Sender<WorkerInput>,
     wake: Option<Arc<WakeFd>>,
 }
 
 impl JobPort {
-    /// Send a job, then wake the reactor (the order matters: the worker
-    /// must find the job when the wakeup drains).
-    fn send(&self, job: Job) {
-        // A send failure means the store shut down; the dropped reply
-        // sender (and notify guard, for futures) surfaces it.
-        let _ = self.tx.send(job);
-        if let Some(wake) = &self.wake {
-            wake.wake();
-        }
-    }
-}
-
-impl Drop for JobPort {
-    fn drop(&mut self) {
-        // The reactor detects "no more jobs can ever arrive" by the job
-        // channel disconnecting — which it only observes when awake.
-        // Each dropping port fires the eventfd so the *last* drop (the
-        // disconnect) always interrupts a blocked `epoll_wait`.
+    /// Send an input, then wake an epoll worker (the order matters: the
+    /// worker must find the input when the wakeup drains).
+    fn send(&self, input: WorkerInput) {
+        // A send failure means the worker has stopped (store shut
+        // down): the input drops here, and a job's dropped reply sender
+        // (and notify guard, for futures) reports `Disconnected`.
+        let _ = self.tx.send(input);
         if let Some(wake) = &self.wake {
             wake.wake();
         }
@@ -530,55 +462,6 @@ fn store_server_core(
             setup.make_server_mux_durable(batch, Box::new(backend))
         }
         None => setup.make_server_mux_batched(batch),
-    }
-}
-
-/// Drive one shard worker: run jobs to completion on the drivers this
-/// worker owns, appending every finished operation to the shared history.
-fn run_worker(
-    mut drivers: BTreeMap<(RegisterId, u32), ClientDriver>,
-    jobs: Receiver<Job>,
-    history: Arc<Mutex<History>>,
-    epoch: Instant,
-    tracer: Arc<lucky_trace::Tracer>,
-) {
-    while let Ok(job) = jobs.recv() {
-        let Some(driver) = drivers.get_mut(&job.slot) else {
-            // Unknown slot: handle construction prevents this; drop the
-            // reply channel so the caller sees a disconnect.
-            continue;
-        };
-        let invoked_at = Time(epoch.elapsed().as_micros() as u64);
-        let result = driver.run_op(job.op.clone());
-        let completed_at = Time(epoch.elapsed().as_micros() as u64);
-        let completion = result.as_ref().ok().map(|out| (completed_at, out));
-        if tracer.is_enabled() {
-            let actor = crate::cluster::trace_actor(driver.id(), driver.reg());
-            let write = matches!(job.op, Op::Write(_));
-            match &result {
-                Ok(out) => tracer.record_settle(
-                    actor,
-                    write,
-                    out.rounds,
-                    out.fast,
-                    out.elapsed.as_micros() as u64,
-                    driver.span(),
-                ),
-                Err(err) => tracer.record_failure(actor, write, err.fail_reason(), driver.span()),
-            }
-        }
-        append_history(
-            &history,
-            driver.reg(),
-            driver.id(),
-            job.op,
-            invoked_at,
-            completion,
-            driver.op_traffic(),
-        );
-        let _ = job.reply.send(result);
-        // `job.notify` (if the op came from the futures API) drops here,
-        // waking the future after the reply is observable.
     }
 }
 
@@ -612,8 +495,8 @@ impl OpTicket {
         if self.settled.is_none() {
             match self.rx.try_recv() {
                 Ok(result) => self.settled = Some(result),
-                Err(crossbeam::channel::TryRecvError::Empty) => {}
-                Err(crossbeam::channel::TryRecvError::Disconnected) => {
+                Err(TryRecvError::Empty) => {}
+                Err(TryRecvError::Disconnected) => {
                     self.settled = Some(Err(NetError::Disconnected));
                 }
             }
@@ -652,8 +535,8 @@ impl OpTicket {
         if self.settled.is_none() {
             match self.rx.recv_timeout(timeout) {
                 Ok(result) => self.settled = Some(result),
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => return Ok(None),
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
+                Err(RecvTimeoutError::Timeout) => return Ok(None),
+                Err(RecvTimeoutError::Disconnected) => {
                     self.settled = Some(Err(NetError::Disconnected));
                 }
             }
@@ -710,24 +593,23 @@ impl NetRegisterHandle {
     }
 
     fn submit(&self, slot: u32, op: Op) -> OpTicket {
-        let (reply, rx) = unbounded();
-        // A send failure means the store shut down; the dropped reply
-        // sender surfaces as `Disconnected` from `wait`.
-        self.slots[slot as usize].send(Job { slot: (self.reg, slot), op, reply, notify: None });
+        let (reply, rx) = channel();
+        let job = Job { slot: (self.reg, slot), op, reply, notify: None };
+        self.slots[slot as usize].send(WorkerInput::Job(job));
         OpTicket::new(rx)
     }
 
     /// Like [`NetRegisterHandle::submit`], wiring a wake channel through
     /// the job so an [`OpFuture`] learns when its ticket settles.
     fn submit_future(&self, slot: u32, op: Op) -> OpFuture {
-        let (reply, rx) = unbounded();
+        let (reply, rx) = channel();
         let notify = OpNotify::new();
-        self.slots[slot as usize].send(Job {
+        self.slots[slot as usize].send(WorkerInput::Job(Job {
             slot: (self.reg, slot),
             op,
             reply,
             notify: Some(NotifyGuard::new(Arc::clone(&notify))),
-        });
+        }));
         OpFuture::new(OpTicket::new(rx), notify)
     }
 
@@ -828,7 +710,7 @@ impl NetRegisterHandle {
     }
 }
 
-/// A running threaded multi-register store: one server cluster serving
+/// A running multi-register store: one server cluster serving
 /// `registers` independent registers, client cores sharded across worker
 /// threads by register.
 ///
@@ -840,9 +722,10 @@ pub struct NetStore {
     router_thread: Option<JoinHandle<()>>,
     server_threads: Vec<JoinHandle<()>>,
     fabric: Option<TcpFabric>,
-    /// Worker threads exit when every job sender (the untaken handles
-    /// below plus whatever the caller took) is dropped.
-    _workers: Vec<JoinHandle<()>>,
+    /// Shard worker threads, joined by `shutdown`.
+    workers: Vec<JoinHandle<()>>,
+    /// One input port per shard worker, for stopping it.
+    ports: Vec<JobPort>,
     handles: BTreeMap<RegisterId, NetRegisterHandle>,
     registers: usize,
     readers_per_register: usize,
@@ -858,8 +741,9 @@ pub struct NetStore {
     setup: Setup,
     batch: BatchConfig,
     durable_dir: Option<PathBuf>,
-    /// `epoll_wait` returns across every reactor worker (stays zero for
-    /// the other drivers); rolled into [`NetStats`] by `stats()`.
+    /// `epoll_wait` returns across every epoll-waiting worker (zero when
+    /// every worker waits on its channel); rolled into [`NetStats`] by
+    /// `stats()`.
     wakeups: Arc<AtomicU64>,
     /// Op tracer shared by every shard worker (disabled unless the
     /// builder enabled it); surfaced through [`NetStore::trace`].
@@ -891,7 +775,6 @@ impl NetStore {
             protocol: ProtocolConfig::default(),
             batch: BatchConfig::disabled(),
             transport: Transport::Channel,
-            driver: Driver::Threaded,
             byzantine: BTreeMap::new(),
             crashed: Vec::new(),
             durable_dir: None,
@@ -900,7 +783,7 @@ impl NetStore {
     }
 
     /// Build a store from a simulator-side [`StoreConfig`] (variant,
-    /// namespace shape and protocol tunables) and a threaded-runtime
+    /// namespace shape and protocol tunables) and a wall-clock
     /// [`NetConfig`] (latency band and timer). The config's protocol
     /// tunables carry over except the round-1 timer, which is re-derived
     /// from `net` (wall-clock latencies, not the simulator's synchrony
@@ -995,7 +878,7 @@ impl NetStore {
         let setup = self.setup;
         let batch = self.batch;
         let durable = self.durable_dir.clone().map(|d| (d, Arc::clone(&self.counters)));
-        let (done_tx, done_rx) = unbounded::<()>();
+        let (done_tx, done_rx) = channel::<()>();
         let _ = tx.send(ServerCtl::Restart(
             Box::new(move || store_server_core(setup, batch, durable, i)),
             done_tx,
@@ -1062,11 +945,16 @@ impl NetStore {
         self.fabric.as_ref().and_then(|f| f.server_addrs.get(&s).copied())
     }
 
-    /// Stop the router, fabric and server threads and wait for them.
-    /// Shard workers exit once every register handle is dropped;
-    /// pending operations fail with [`NetError`].
+    /// Stop every thread and wait for it. The shard workers stop
+    /// first: operations in flight fail with [`NetError::Disconnected`],
+    /// and so does every later operation on a handle kept past
+    /// shutdown.
     pub fn shutdown(&mut self) {
         self.handles.clear();
+        self.stop_workers();
+        for t in self.workers.drain(..) {
+            let _ = t.join();
+        }
         let _ = self.router_tx.send(Envelope::Stop);
         if let Some(t) = self.router_thread.take() {
             let _ = t.join();
@@ -1082,9 +970,18 @@ impl NetStore {
     }
 }
 
+impl NetStore {
+    fn stop_workers(&self) {
+        for port in &self.ports {
+            port.send(WorkerInput::Stop);
+        }
+    }
+}
+
 impl Drop for NetStore {
     fn drop(&mut self) {
         // Non-blocking: signal stop; threads unwind on channel disconnect.
+        self.stop_workers();
         let _ = self.router_tx.send(Envelope::Stop);
     }
 }
@@ -1197,18 +1094,24 @@ mod tests {
     #[test]
     fn tickets_outlive_their_handle() {
         // Submit through the ticket API, then drop the handle before
-        // waiting: the shard worker owns the driver, so the operations
-        // complete and the tickets resolve normally.
+        // waiting: the shard worker owns the sessions, so the operations
+        // complete and the tickets resolve normally. The read runs
+        // concurrently with the second write (its reader lives on the
+        // other worker), so it may return either value; the checker is
+        // the oracle.
         let params = Params::new(1, 0, 1, 0).unwrap();
         let mut store = NetStore::builder(params, fast_cfg()).registers(2).build();
         let h = store.register(RegisterId(0)).unwrap();
-        let w = h.invoke_write(Value::from_u64(9));
+        h.write(Value::from_u64(9)).unwrap();
+        let w = h.invoke_write(Value::from_u64(10));
         let r = h.invoke_read(0);
         drop(h);
         assert_eq!(w.wait().unwrap().kind, OpKind::Write);
         let read = r.wait().unwrap();
         assert_eq!(read.kind, OpKind::Read);
-        assert_eq!(read.value.as_u64(), Some(9), "ticket resolves after the handle is gone");
+        let v = read.value.as_u64();
+        assert!(v == Some(9) || v == Some(10), "ticket resolves after the handle is gone: {v:?}");
+        store.check_atomicity().unwrap();
         store.shutdown();
     }
 
@@ -1284,8 +1187,8 @@ mod tests {
     fn from_config_carries_protocol_tunables() {
         use lucky_core::StoreConfig;
         let params = Params::new(1, 0, 1, 0).unwrap();
-        // Disable the fast paths through the StoreConfig: the threaded
-        // store must honour them (a fast one-round write would otherwise
+        // Disable the fast paths through the StoreConfig: the net store
+        // must honour them (a fast one-round write would otherwise
         // be overwhelmingly likely at this latency band).
         let cfg = StoreConfig::synchronous(params)
             .registers(2)
@@ -1395,6 +1298,75 @@ mod tests {
         assert_eq!(stats.recoveries, 0);
         assert_eq!(stats.log_bytes, 0);
         store.check_atomicity().unwrap();
+        store.shutdown();
+    }
+
+    #[test]
+    fn operations_after_shutdown_fail_with_disconnected_idempotently() {
+        // Both ways a worker waits: shutdown stops the workers, so the
+        // first post-shutdown op observes the disconnect and every retry
+        // reports it again instead of timing out or panicking.
+        for transport in [Transport::Channel, Transport::Tcp] {
+            let params = Params::new(1, 0, 1, 0).unwrap();
+            let mut store = NetStore::builder(params, fast_cfg()).transport(transport).build();
+            let h = store.register(RegisterId(0)).unwrap();
+            h.write(Value::from_u64(1)).unwrap();
+            store.shutdown();
+            for v in 2..=3 {
+                let err = h.write(Value::from_u64(v)).unwrap_err();
+                assert_eq!(err, NetError::Disconnected, "{transport:?}");
+            }
+            assert_eq!(h.read(0).unwrap_err(), NetError::Disconnected, "{transport:?}");
+        }
+    }
+
+    #[test]
+    fn too_many_crashes_time_out() {
+        let params = Params::new(1, 0, 1, 0).unwrap();
+        let mut cfg = fast_cfg();
+        cfg.timer = Duration::from_millis(1);
+        let mut store = NetStore::builder(params, cfg).crashed(0).crashed(1).build();
+        let h = store.register(RegisterId(0)).unwrap();
+        assert_eq!(h.write(Value::from_u64(1)).unwrap_err(), NetError::TimedOut);
+        store.shutdown();
+    }
+
+    #[test]
+    fn tcp_without_epoll_waits_on_the_channel_behind_fabric_readers() {
+        // The fallback a TCP store takes when no epoll set can be built:
+        // each worker's slot gets fabric reader threads that feed the
+        // worker's input channel. Same protocol behaviour, real frames,
+        // one counted degradation per worker, and no epoll wakeups.
+        let params = Params::new(1, 0, 1, 0).unwrap();
+        let mut store = NetStore::builder(params, fast_cfg())
+            .registers(4)
+            .readers_per_register(2)
+            .shards(2)
+            .transport(Transport::Tcp)
+            .build_without_epoll();
+        let handles: Vec<_> = RegisterId::all(4).map(|reg| store.register(reg).unwrap()).collect();
+        for round in 0..3u64 {
+            let tickets: Vec<_> = handles
+                .iter()
+                .flat_map(|h| {
+                    let v = Value::from_u64(1 + round * 10 + h.id().0 as u64);
+                    [h.invoke_write(v), h.invoke_read(0), h.invoke_read(1)]
+                })
+                .collect();
+            for t in tickets {
+                t.wait().unwrap();
+            }
+        }
+        for h in &handles {
+            let expected = 1 + 20 + h.id().0 as u64;
+            assert_eq!(h.read(1).unwrap().value.as_u64(), Some(expected));
+        }
+        store.check_atomicity().unwrap();
+        let stats = store.stats();
+        assert_eq!(stats.io_errors, 2, "one counted fallback per worker");
+        assert_eq!(stats.reactor_wakeups, 0, "no worker waits in epoll");
+        assert!(stats.wire_bytes > 0, "traffic crossed real sockets");
+        assert_eq!(stats.decode_errors + stats.dropped, 0);
         store.shutdown();
     }
 

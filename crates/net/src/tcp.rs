@@ -4,11 +4,13 @@
 //! hosting a group of client cores — owns a real `std::net` loopback
 //! listener. The router holds the write half: one persistent
 //! [`TcpStream`] per slot, into which it writes the frames built by
-//! `lucky-wire` ([`encode_packet`](lucky_wire::encode_packet)). Each
-//! slot runs an acceptor thread plus one reader thread per connection;
-//! readers reassemble frames from partial reads with
+//! `lucky-wire` ([`encode_packet`](lucky_wire::encode_packet)). A slot
+//! with an [`Inbox`] — every server, and a shard worker that could not
+//! set up epoll — runs an acceptor thread plus one reader thread per
+//! connection; readers reassemble frames from partial reads with
 //! [`FrameDecoder`](lucky_wire::FrameDecoder), decode the packet parts,
-//! and hand `(from, message)` to the destination process's inbox.
+//! and hand each message to its recipient's inbox. An epoll worker
+//! reads its own listener instead (`crate::reactor`).
 //!
 //! Trust model: a reader only holds the inbox senders of **its own
 //! slot's processes**, so a frame arriving on server 0's socket can
@@ -24,8 +26,7 @@
 //! model is preserved because every honest frame is written by the
 //! router.
 
-use crate::router::{NetStats, SlotMap};
-use crossbeam::channel::Sender;
+use crate::router::{Inbox, NetStats, SlotMap};
 use lucky_types::{Message, ProcessId, ServerId};
 use lucky_wire::{decode_packet, FrameDecoder};
 use parking_lot::Mutex;
@@ -68,10 +69,10 @@ struct SlotReceiver {
     down: Arc<AtomicBool>,
     /// The inbox senders this slot's readers fan out to, kept so a
     /// re-bind can rebuild the receive side for the same processes.
-    inboxes: BTreeMap<ProcessId, Sender<(ProcessId, Message)>>,
+    inboxes: BTreeMap<ProcessId, Inbox>,
 }
 
-/// The TCP substrate of one cluster/store: per-slot listeners and the
+/// The TCP substrate of one store: per-slot listeners and the
 /// router-side write streams.
 pub(crate) struct TcpFabric {
     name: String,
@@ -95,12 +96,11 @@ impl std::fmt::Debug for TcpFabric {
 pub(crate) fn build_fabric(
     name: &str,
     slots: &SlotMap,
-    inboxes: &BTreeMap<ProcessId, Sender<(ProcessId, Message)>>,
+    inboxes: &BTreeMap<ProcessId, Inbox>,
     stats: &Arc<Mutex<NetStats>>,
 ) -> (TcpFabric, BTreeMap<usize, TcpStream>) {
     // Group the live processes (those with an inbox) by slot.
-    let mut by_slot: BTreeMap<usize, BTreeMap<ProcessId, Sender<(ProcessId, Message)>>> =
-        BTreeMap::new();
+    let mut by_slot: BTreeMap<usize, BTreeMap<ProcessId, Inbox>> = BTreeMap::new();
     for (pid, tx) in inboxes {
         let slot = *slots.get(pid).expect("every inboxed process has a slot");
         by_slot.entry(slot).or_default().insert(*pid, tx.clone());
@@ -128,7 +128,7 @@ pub(crate) fn build_fabric(
 fn bind_slot(
     name: &str,
     slot: usize,
-    inboxes: BTreeMap<ProcessId, Sender<(ProcessId, Message)>>,
+    inboxes: BTreeMap<ProcessId, Inbox>,
     stats: &Arc<Mutex<NetStats>>,
 ) -> (SlotReceiver, TcpStream) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
@@ -189,7 +189,7 @@ impl TcpFabric {
 
 impl Drop for TcpFabric {
     fn drop(&mut self) {
-        // Non-blocking teardown path (cluster dropped without an
+        // Non-blocking teardown path (store dropped without an
         // explicit shutdown): raise the flags and wake the acceptors so
         // they release their inbox senders; don't join.
         for r in &self.receivers {
@@ -205,7 +205,7 @@ impl Drop for TcpFabric {
 fn spawn_acceptor(
     name: String,
     listener: TcpListener,
-    inboxes: BTreeMap<ProcessId, Sender<(ProcessId, Message)>>,
+    inboxes: BTreeMap<ProcessId, Inbox>,
     stats: Arc<Mutex<NetStats>>,
     shutdown: Arc<AtomicBool>,
 ) -> JoinHandle<()> {
@@ -241,7 +241,7 @@ fn spawn_acceptor(
 /// no trustworthy framing left).
 fn read_frames(
     mut stream: TcpStream,
-    inboxes: BTreeMap<ProcessId, Sender<(ProcessId, Message)>>,
+    inboxes: BTreeMap<ProcessId, Inbox>,
     stats: Arc<Mutex<NetStats>>,
     shutdown: Arc<AtomicBool>,
 ) {
@@ -289,13 +289,13 @@ fn read_frames(
 /// dropped, exactly like the channel transport's accounting.
 fn deliver(
     parts: &[(ProcessId, ProcessId, Message)],
-    inboxes: &BTreeMap<ProcessId, Sender<(ProcessId, Message)>>,
+    inboxes: &BTreeMap<ProcessId, Inbox>,
     stats: &Arc<Mutex<NetStats>>,
 ) {
     for (from, to, msg) in parts {
         let lost = msg.part_count() as u64;
         match inboxes.get(to) {
-            Some(tx) if tx.send((*from, msg.clone())).is_ok() => {}
+            Some(inbox) if inbox.send(*from, *to, msg.clone()) => {}
             _ => stats.lock().dropped += lost,
         }
     }

@@ -10,8 +10,7 @@ use lucky_checker::Violations;
 use lucky_core::runtime::ServerCore;
 use lucky_core::StoreConfig;
 use lucky_net::{
-    Driver, GroupStats, NetConfig, NetError, NetOutcome, NetRegisterHandle, NetStats, NetStore,
-    Transport,
+    GroupStats, NetConfig, NetError, NetOutcome, NetRegisterHandle, NetStats, NetStore, Transport,
 };
 use lucky_types::{GroupId, Placement, RegisterId, Value};
 use parking_lot::Mutex;
@@ -88,7 +87,6 @@ pub struct ShardNetStoreBuilder {
     cfg: StoreConfig,
     net: NetConfig,
     transport: Transport,
-    driver: Driver,
     register_quota: usize,
     byzantine: Vec<(GroupId, u16, Box<dyn ServerCore>)>,
     crashed: Vec<(GroupId, u16)>,
@@ -99,7 +97,6 @@ impl std::fmt::Debug for ShardNetStoreBuilder {
         f.debug_struct("ShardNetStoreBuilder")
             .field("groups", &self.cfg.groups)
             .field("transport", &self.transport)
-            .field("driver", &self.driver)
             .finish_non_exhaustive()
     }
 }
@@ -109,13 +106,6 @@ impl ShardNetStoreBuilder {
     #[must_use]
     pub fn transport(mut self, transport: Transport) -> Self {
         self.transport = transport;
-        self
-    }
-
-    /// Client driver for every group (chainable).
-    #[must_use]
-    pub fn driver(mut self, driver: Driver) -> Self {
-        self.driver = driver;
         self
     }
 
@@ -160,8 +150,7 @@ impl ShardNetStoreBuilder {
                     .protocol(cfg.cluster.protocol)
                     .batch(cfg.batch)
                     .trace(cfg.trace)
-                    .transport(self.transport)
-                    .driver(self.driver);
+                    .transport(self.transport);
                 if let Some(dir) = &cfg.durable_dir {
                     b = b.durable(dir.join(format!("{gid}")));
                 }
@@ -208,7 +197,6 @@ impl ShardNetStore {
             cfg,
             net,
             transport: Transport::Channel,
-            driver: Driver::Threaded,
             register_quota: usize::MAX,
             byzantine: Vec::new(),
             crashed: Vec::new(),

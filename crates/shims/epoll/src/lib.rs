@@ -15,13 +15,14 @@
 //!   interest: arming it with the exact next-deadline duration gives
 //!   the reactor **nanosecond-granular** timeouts where `epoll_wait`'s
 //!   own timeout argument rounds up to whole milliseconds.
-//! * [`close_fd`] — a fault-injection helper: tests in `forbid(unsafe)`
-//!   crates use it to sabotage a socket's descriptor and exercise the
-//!   graceful-degradation paths without any unsafe of their own.
+//! * [`close_fd`] — an `EBADF`-tolerant raw close: `forbid(unsafe)`
+//!   crates use it to dispose of a socket whose descriptor may already
+//!   be dead, where dropping the `OwnedFd` would abort on the failed
+//!   close.
 //!
 //! On non-Linux targets every constructor returns
 //! [`std::io::ErrorKind::Unsupported`]; callers are expected to degrade
-//! to their portable fallback (the net crate's sleep-capped poll loop).
+//! to their portable fallback (the net crate's channel-waiting worker).
 
 #![warn(missing_docs, missing_debug_implementations)]
 
@@ -400,14 +401,12 @@ mod imp {
         }
     }
 
-    /// Close a raw descriptor out from under its owner. **Fault
-    /// injection only**: after this, the owner's next syscall on the
-    /// descriptor fails with `EBADF` — which is exactly what the
-    /// graceful-degradation tests in `forbid(unsafe_code)` crates need
-    /// to provoke without unsafe of their own.
+    /// Close a raw descriptor, ignoring failure: a dead descriptor
+    /// (`EBADF`) is left alone instead of aborting the way an
+    /// `OwnedFd` drop does. The caller must own `fd` and forget its
+    /// owner afterwards, so the descriptor is closed at most once.
     pub fn close_fd(fd: RawFd) {
-        // SAFETY: the caller asserts nothing else will reuse `fd`; tests
-        // sabotage descriptors they own and then drop.
+        // SAFETY: the caller owns `fd` and never uses it again.
         unsafe { close(fd) };
     }
 }
@@ -502,7 +501,7 @@ mod stub {
         }
     }
 
-    /// No-op off Linux (the fault-injection tests are Linux-only).
+    /// No-op off Linux: the descriptor leaks rather than risk a close.
     pub fn close_fd(_fd: RawFd) {}
 }
 
@@ -643,13 +642,22 @@ mod tests {
         assert!(events.is_empty(), "disarmed timer is quiet");
     }
 
+    /// A descriptor that is never valid. Closing a live socket's
+    /// descriptor instead would free its number for whatever a parallel
+    /// test opens next — and this test would then register that test's
+    /// socket.
+    struct DeadFd;
+
+    impl AsRawFd for DeadFd {
+        fn as_raw_fd(&self) -> std::os::fd::RawFd {
+            -1
+        }
+    }
+
     #[test]
     fn closed_fd_registration_fails_instead_of_panicking() {
         let ep = Epoll::new().unwrap();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        close_fd(listener.as_raw_fd());
-        let err = ep.add(&listener, 1).unwrap_err();
-        assert_eq!(err.raw_os_error(), Some(9), "EBADF from a sabotaged descriptor");
-        std::mem::forget(listener); // its fd is already closed
+        let err = ep.add(&DeadFd, 1).unwrap_err();
+        assert_eq!(err.raw_os_error(), Some(9), "EBADF from a dead descriptor");
     }
 }

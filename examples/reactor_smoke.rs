@@ -1,9 +1,9 @@
 //! Epoll-reactor TCP smoke run (also wired into CI).
 //!
-//! Runs a high-concurrency workload over `Transport::Tcp` with the
-//! **reactor driver**: each shard worker blocks in `epoll_wait` on its
-//! listener, accepted connections and an eventfd job-wake, with session
-//! timers folded into the epoll timeout — no sleep-capped polling. The
+//! Runs a high-concurrency workload over `Transport::Tcp`, where each
+//! shard worker blocks in `epoll_wait` on its listener, accepted
+//! connections and an eventfd job-wake, with session timers armed on a
+//! timerfd — no tick, no polling. The
 //! client side uses the **futures API** (`write_future` / `read_future`
 //! awaited on the crate's std-only executor), so one caller thread holds
 //! every operation in flight at once. Asserts:
@@ -13,15 +13,15 @@
 //!   thread, checker-clean;
 //! * per-op accounting is real: every completed `OpRecord` attributes
 //!   nonzero wire messages and bytes;
-//! * the reactor actually runs on epoll (nonzero wakeup count on Linux)
-//!   and degrades to the polled loop elsewhere instead of failing.
+//! * the worker actually runs on epoll (nonzero wakeup count on Linux);
+//!   elsewhere it waits on its input channel instead of failing.
 //!
 //! ```sh
 //! cargo run --release --example reactor_smoke
 //! ```
 
 use lucky_atomic::net::exec::run_all;
-use lucky_atomic::net::{Driver, NetConfig, NetStore, Transport};
+use lucky_atomic::net::{NetConfig, NetStore, Transport};
 use lucky_atomic::types::{Params, RegisterId, Value};
 use std::time::{Duration, Instant};
 
@@ -41,7 +41,6 @@ fn main() {
         .registers(REGISTERS)
         .shards(SHARDS)
         .transport(Transport::Tcp)
-        .driver(Driver::Reactor)
         .build();
     let handles: Vec<_> =
         RegisterId::all(REGISTERS).map(|reg| store.register(reg).expect("fresh handle")).collect();

@@ -6,7 +6,7 @@
 //! seed-driven differential walk (migrating store vs never-migrating
 //! twin on the same schedule), checker-clean.
 //!
-//! Phase 2 (TCP, polled driver): **one million** registers are created
+//! Phase 2 (TCP): **one million** registers are created
 //! across the four groups in O(1) memory — the namespace is lazy, so
 //! nothing materializes until touched — then a sample of them serves
 //! real traffic over loopback TCP, one register live-migrates between
@@ -19,7 +19,7 @@
 //! ```
 
 use lucky_atomic::core::StoreConfig;
-use lucky_atomic::net::{Driver, NetConfig, Transport};
+use lucky_atomic::net::{NetConfig, Transport};
 use lucky_atomic::shard::{differential_migration_walk, GroupId, ShardNetStore, ShardSimStore};
 use lucky_atomic::types::{Params, RegisterId, Value};
 use std::sync::Arc;
@@ -85,12 +85,11 @@ fn sim_phase() {
 }
 
 fn net_phase() {
-    println!("== tcp/polled: 1M-register namespace + live migration ==");
+    println!("== tcp: 1M-register namespace + live migration ==");
     let built = Instant::now();
     let store = Arc::new(
         ShardNetStore::builder(cfg(), net_cfg())
             .transport(Transport::Tcp)
-            .driver(Driver::Polled)
             .register_quota(NAMESPACE as usize + 8)
             .build(),
     );

@@ -1,21 +1,28 @@
-//! Differential harness for the client-driving strategies: the
-//! **threaded** driver (one blocking `ClientDriver` per job) and the
-//! **polled** driver (one nonblocking readiness loop multiplexing each
-//! shard's sessions) must be observably interchangeable.
+//! Differential harness for the shard worker's two ways to wait: on
+//! its **input channel** (`Transport::Channel`, where the router sends
+//! every delivery to the worker's channel) and in **epoll**
+//! (`Transport::Tcp`, where the worker reads its own socket). The
+//! "drivers" these tests name are those two waits: every store runs
+//! the one multiplexing worker, and they must be observably
+//! interchangeable.
 //!
-//! Both drivers consume the same sans-io `ClientSession`, so for a
+//! Both waits feed the same sans-io `ClientSession`s, so for a
 //! deterministic (sequential-per-register) workload they must produce
 //! **identical `OpOutcome` streams** — register, kind and value, for all
-//! three protocol variants — and identical checker verdicts; for a
-//! concurrent workload, where wall-clock interleavings legitimately
-//! differ, the per-register linearizability/regularity oracles must pass
-//! under both. Fault tolerance must be driver-independent too: a crash +
-//! Byzantine run over real TCP sockets (`Transport::Tcp`) completes
-//! checker-clean under both drivers.
+//! three protocol variants — identical round/luck classification, and
+//! identical checker verdicts; for a concurrent workload, where
+//! wall-clock interleavings legitimately differ, the per-register
+//! linearizability/regularity oracles must pass under both. Fault
+//! tolerance must not depend on the wait either: a crash + Byzantine
+//! run completes checker-clean with the same stream under both.
+//!
+//! The third configuration — TCP without epoll, where fabric reader
+//! threads feed the worker's channel — cannot be chosen through the
+//! public API; a crate-internal test in `lucky-net` pins it.
 
 use lucky_atomic::core::byz::ForgeValue;
 use lucky_atomic::core::Setup;
-use lucky_atomic::net::{Driver, NetConfig, NetStore, NetStoreBuilder, Transport};
+use lucky_atomic::net::{NetConfig, NetStore, NetStoreBuilder, Transport};
 use lucky_atomic::types::{OpKind, Params, RegisterId, Seq, TsVal, TwoRoundParams, Value};
 use std::time::Duration;
 
@@ -44,14 +51,17 @@ fn value_for(reg: RegisterId, round: u64) -> u64 {
     1 + reg.0 as u64 * 1_000 + round
 }
 
-fn builder(setup: Setup, driver: Driver, transport: Transport, faulty: bool) -> NetStoreBuilder {
+/// Every transport, each selecting one way for the workers to wait:
+/// the input channel, then epoll.
+const WAITS: [Transport; 2] = [Transport::Channel, Transport::Tcp];
+
+fn builder(setup: Setup, transport: Transport, faulty: bool) -> NetStoreBuilder {
     let timer = if transport == Transport::Tcp { 8 } else { 4 };
     let mut b = NetStore::builder(setup, net_cfg(timer))
         .registers(REGISTERS)
         .readers_per_register(READERS_PER_REGISTER)
         .shards(3)
-        .transport(transport)
-        .driver(driver);
+        .transport(transport);
     if faulty {
         // One crashed server plus one value-forging Byzantine server:
         // within every variant's fault budget (t = 2, b = 1).
@@ -63,7 +73,7 @@ fn builder(setup: Setup, driver: Driver, transport: Transport, faulty: bool) -> 
 }
 
 /// One deterministic outcome-stream entry: the fields that must match
-/// across drivers exactly (wall-clock metrics like `elapsed` and the
+/// across the waits exactly (wall-clock metrics like `elapsed` and the
 /// fast/slow split legitimately vary between runs).
 type Outcome = (RegisterId, OpKind, Option<u64>);
 
@@ -71,13 +81,8 @@ type Outcome = (RegisterId, OpKind, Option<u64>);
 /// its readers read, each operation waited to completion before the
 /// next. Values read are fully determined, so the stream is comparable
 /// element for element.
-fn run_sequential(
-    setup: Setup,
-    driver: Driver,
-    transport: Transport,
-    faulty: bool,
-) -> Vec<Outcome> {
-    let mut store = builder(setup, driver, transport, faulty).build();
+fn run_sequential(setup: Setup, transport: Transport, faulty: bool) -> Vec<Outcome> {
+    let mut store = builder(setup, transport, faulty).build();
     let handles: Vec<_> =
         RegisterId::all(REGISTERS).map(|reg| store.register(reg).expect("fresh handle")).collect();
     let mut stream = Vec::new();
@@ -92,7 +97,7 @@ fn run_sequential(
                 assert_eq!(
                     out.value.as_u64(),
                     Some(v),
-                    "sequential read returns the last written value ({setup:?}, {driver:?})"
+                    "sequential read returns the last written value ({setup:?}, {transport:?})"
                 );
                 stream.push((out.reg, out.kind, out.value.as_u64()));
             }
@@ -107,11 +112,11 @@ fn run_sequential(
 }
 
 /// The concurrent workload: every register's write and reads submitted
-/// before anything is waited on, so sessions genuinely overlap (on the
-/// polled driver, several ops multiplex one worker thread). Values read
-/// are timing-dependent; the oracle is the checker.
-fn run_concurrent(setup: Setup, driver: Driver, transport: Transport, faulty: bool) -> usize {
-    let mut store = builder(setup, driver, transport, faulty).build();
+/// before anything is waited on, so sessions genuinely overlap (several
+/// ops multiplex each worker thread). Values read are timing-dependent;
+/// the oracle is the checker.
+fn run_concurrent(setup: Setup, transport: Transport, faulty: bool) -> usize {
+    let mut store = builder(setup, transport, faulty).build();
     let handles: Vec<_> =
         RegisterId::all(REGISTERS).map(|reg| store.register(reg).expect("fresh handle")).collect();
     let mut completed = 0;
@@ -139,25 +144,25 @@ fn run_concurrent(setup: Setup, driver: Driver, transport: Transport, faulty: bo
 #[test]
 fn sequential_outcome_streams_are_identical_across_drivers() {
     for setup in setups() {
-        let threaded = run_sequential(setup, Driver::Threaded, Transport::Channel, false);
-        let polled = run_sequential(setup, Driver::Polled, Transport::Channel, false);
+        let channel = run_sequential(setup, Transport::Channel, false);
+        let epoll = run_sequential(setup, Transport::Tcp, false);
         assert_eq!(
-            threaded, polled,
-            "threaded and polled drivers diverged on the deterministic workload ({setup:?})"
+            channel, epoll,
+            "channel and epoll waits diverged on the deterministic workload ({setup:?})"
         );
-        assert_eq!(threaded.len(), (ROUNDS as usize) * REGISTERS * (1 + READERS_PER_REGISTER));
+        assert_eq!(channel.len(), (ROUNDS as usize) * REGISTERS * (1 + READERS_PER_REGISTER));
     }
 }
 
 #[test]
 fn concurrent_workloads_stay_checker_clean_under_both_drivers() {
     for setup in setups() {
-        for driver in [Driver::Threaded, Driver::Polled] {
-            let completed = run_concurrent(setup, driver, Transport::Channel, false);
+        for transport in WAITS {
+            let completed = run_concurrent(setup, transport, false);
             assert_eq!(
                 completed,
                 (ROUNDS as usize) * REGISTERS * (1 + READERS_PER_REGISTER),
-                "({setup:?}, {driver:?})"
+                "({setup:?}, {transport:?})"
             );
         }
     }
@@ -166,35 +171,26 @@ fn concurrent_workloads_stay_checker_clean_under_both_drivers() {
 #[test]
 fn crash_plus_byzantine_over_tcp_is_driver_independent() {
     // The acceptance run: a crashed server and a value-forging Byzantine
-    // server over real sockets, all three variants, all three drivers —
-    // identical deterministic streams and clean checker verdicts.
+    // server, all three variants, over real sockets (epoll) and over
+    // channels — identical deterministic streams, clean verdicts.
     for setup in setups() {
-        let threaded = run_sequential(setup, Driver::Threaded, Transport::Tcp, true);
-        let polled = run_sequential(setup, Driver::Polled, Transport::Tcp, true);
-        assert_eq!(threaded, polled, "drivers diverged under faults over TCP ({setup:?})");
-        if cfg!(target_os = "linux") {
-            let reactor = run_sequential(setup, Driver::Reactor, Transport::Tcp, true);
-            assert_eq!(threaded, reactor, "reactor diverged under faults over TCP ({setup:?})");
-        }
+        let epoll = run_sequential(setup, Transport::Tcp, true);
+        let channel = run_sequential(setup, Transport::Channel, true);
+        assert_eq!(epoll, channel, "the waits diverged under faults ({setup:?})");
     }
 }
 
 #[test]
 fn concurrent_tcp_workloads_stay_checker_clean_under_all_drivers() {
-    let drivers: &[Driver] = if cfg!(target_os = "linux") {
-        &[Driver::Threaded, Driver::Polled, Driver::Reactor]
-    } else {
-        &[Driver::Threaded, Driver::Polled]
-    };
+    // Overlapping sessions over real sockets, with the faults on: the
+    // crashed server's frames drop and the forger answers every READ.
     for setup in setups() {
-        for &driver in drivers {
-            let completed = run_concurrent(setup, driver, Transport::Tcp, false);
-            assert_eq!(
-                completed,
-                (ROUNDS as usize) * REGISTERS * (1 + READERS_PER_REGISTER),
-                "({setup:?}, {driver:?})"
-            );
-        }
+        let completed = run_concurrent(setup, Transport::Tcp, true);
+        assert_eq!(
+            completed,
+            (ROUNDS as usize) * REGISTERS * (1 + READERS_PER_REGISTER),
+            "{setup:?}"
+        );
     }
 }
 
@@ -205,15 +201,14 @@ type LuckOutcome = (RegisterId, OpKind, Option<u64>, u32, bool);
 /// Sequential workload with a timer generous enough (20ms) that no op
 /// ever straddles the round-1 deadline: the rounds/fast classification
 /// is then fully determined by the variant, so it must be identical
-/// across drivers — not just the values read.
-fn run_luck_pinned(setup: Setup, driver: Driver) -> Vec<LuckOutcome> {
+/// across the waits — not just the values read.
+fn run_luck_pinned(setup: Setup, transport: Transport) -> Vec<LuckOutcome> {
     const LUCK_ROUNDS: u64 = 2;
     let mut store = NetStore::builder(setup, net_cfg(20))
         .registers(REGISTERS)
         .readers_per_register(READERS_PER_REGISTER)
         .shards(3)
-        .transport(Transport::Tcp)
-        .driver(driver)
+        .transport(transport)
         .build();
     let handles: Vec<_> =
         RegisterId::all(REGISTERS).map(|reg| store.register(reg).expect("fresh handle")).collect();
@@ -235,19 +230,15 @@ fn run_luck_pinned(setup: Setup, driver: Driver) -> Vec<LuckOutcome> {
 #[test]
 fn round_counts_and_luck_classification_are_identical_across_drivers() {
     for setup in setups() {
-        let threaded = run_luck_pinned(setup, Driver::Threaded);
-        let polled = run_luck_pinned(setup, Driver::Polled);
+        let channel = run_luck_pinned(setup, Transport::Channel);
+        let epoll = run_luck_pinned(setup, Transport::Tcp);
         assert_eq!(
-            threaded, polled,
-            "threaded and polled drivers classified luck differently ({setup:?})"
+            channel, epoll,
+            "channel and epoll waits classified luck differently ({setup:?})"
         );
-        if cfg!(target_os = "linux") {
-            let reactor = run_luck_pinned(setup, Driver::Reactor);
-            assert_eq!(threaded, reactor, "reactor classified luck differently ({setup:?})");
-        }
         // Synchrony without contention: every op resolves in the
         // variant's canonical round count.
-        for (reg, kind, _, rounds, fast) in &threaded {
+        for (reg, kind, _, rounds, fast) in &channel {
             match setup {
                 Setup::TwoRound(_) if *kind == OpKind::Write => {
                     assert_eq!((*rounds, *fast), (2, false), "{setup:?} {reg} {kind:?}");
@@ -262,16 +253,14 @@ fn round_counts_and_luck_classification_are_identical_across_drivers() {
 
 #[test]
 fn per_op_traffic_attribution_is_real_under_every_driver() {
-    // Every driver records real per-op msgs/bytes in the history — the
-    // polled append path used to hardcode zeros while the threaded one
-    // never counted at all. An op needs at least one full round to its
-    // quorum, so each record must attribute at least quorum-many
-    // messages (sends + acks); exact totals legitimately differ between
-    // drivers, because *when* a late ack is pumped decides which op (if
-    // any) absorbs it.
+    // Both waits record real per-op msgs/bytes in the history. An op
+    // needs at least one full round to its quorum, so each record must
+    // attribute at least quorum-many messages (sends + acks); exact
+    // totals legitimately differ between runs, because *when* a late
+    // ack is pumped decides which op (if any) absorbs it.
     let setup = Setup::Atomic(Params::new(2, 1, 1, 0).unwrap());
-    for driver in [Driver::Threaded, Driver::Polled] {
-        let mut store = builder(setup, driver, Transport::Channel, false).build();
+    for transport in WAITS {
+        let mut store = builder(setup, transport, false).build();
         let handles: Vec<_> = RegisterId::all(REGISTERS)
             .map(|reg| store.register(reg).expect("fresh handle"))
             .collect();
@@ -286,11 +275,11 @@ fn per_op_traffic_attribution_is_real_under_every_driver() {
             // least a quorum (S − t = 4) of acks back.
             assert!(
                 rec.msgs >= 10,
-                "{driver:?} attributes a full round to op {:?} (got {})",
+                "{transport:?} attributes a full round to op {:?} (got {})",
                 rec.id,
                 rec.msgs
             );
-            assert!(rec.bytes > 0, "{driver:?} attributes bytes to op {:?}", rec.id);
+            assert!(rec.bytes > 0, "{transport:?} attributes bytes to op {:?}", rec.id);
         }
         store.shutdown();
     }
@@ -299,26 +288,31 @@ fn per_op_traffic_attribution_is_real_under_every_driver() {
 #[test]
 fn polled_driver_multiplexes_registers_on_one_worker() {
     // Force every session onto a single worker: concurrency must come
-    // purely from the poll loop's multiplexing, not thread counts.
+    // purely from the worker's multiplexing, not thread counts — under
+    // either wait.
     let setup = Setup::Atomic(Params::new(1, 0, 1, 0).unwrap());
-    let mut store = NetStore::builder(setup, net_cfg(4))
-        .registers(REGISTERS)
-        .shards(1)
-        .driver(Driver::Polled)
-        .build();
-    let handles: Vec<_> =
-        RegisterId::all(REGISTERS).map(|reg| store.register(reg).expect("fresh handle")).collect();
-    // Submit every register's write before waiting on any: with a
-    // blocking one-job-at-a-time worker this would serialize; the polled
-    // worker runs them concurrently and all complete.
-    let tickets: Vec<_> =
-        handles.iter().map(|h| h.invoke_write(Value::from_u64(100 + h.id().0 as u64))).collect();
-    for t in tickets {
-        t.wait().expect("multiplexed write completes");
+    for transport in WAITS {
+        let mut store = NetStore::builder(setup, net_cfg(4))
+            .registers(REGISTERS)
+            .shards(1)
+            .transport(transport)
+            .build();
+        let handles: Vec<_> = RegisterId::all(REGISTERS)
+            .map(|reg| store.register(reg).expect("fresh handle"))
+            .collect();
+        // Submit every register's write before waiting on any: the
+        // worker runs them concurrently and all complete.
+        let tickets: Vec<_> = handles
+            .iter()
+            .map(|h| h.invoke_write(Value::from_u64(100 + h.id().0 as u64)))
+            .collect();
+        for t in tickets {
+            t.wait().expect("multiplexed write completes");
+        }
+        for h in &handles {
+            assert_eq!(h.read(0).unwrap().value.as_u64(), Some(100 + h.id().0 as u64));
+        }
+        store.check_atomicity().unwrap();
+        store.shutdown();
     }
-    for h in &handles {
-        assert_eq!(h.read(0).unwrap().value.as_u64(), Some(100 + h.id().0 as u64));
-    }
-    store.check_atomicity().unwrap();
-    store.shutdown();
 }

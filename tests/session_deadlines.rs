@@ -4,12 +4,14 @@
 //! enforced inside the sans-io `ClientSession`), so the same behaviour
 //! must surface on every runtime:
 //!
-//! * threaded runtime, threaded driver: an operation that cannot
-//!   assemble a quorum (majority crashed) fails with
-//!   [`NetError::TimedOut`];
-//! * threaded runtime, polled driver (over real TCP sockets): same
-//!   error, same semantics — and tickets are pollable while the doomed
-//!   operation is still pending;
+//! * net runtime, per transport — the shard worker waiting on its input
+//!   channel (`Transport::Channel`) or in epoll (`Transport::Tcp`): an
+//!   operation that cannot assemble a quorum (majority crashed) fails
+//!   with [`NetError::TimedOut`], and tickets are pollable while the
+//!   doomed operation is still pending;
+//! * net runtime, both transports: an operation queued behind another
+//!   on the same session begins when that one settles — even when the
+//!   settle came from the last timer the worker had;
 //! * simulator: the session abandons the operation at **exactly** the
 //!   configured deadline tick, surfacing as
 //!   [`RunError::OpFailed`] with the precise virtual instant.
@@ -36,26 +38,11 @@ fn stall_cfg() -> NetConfig {
     }
 }
 
-#[test]
-fn threaded_driver_times_out_without_a_quorum() {
-    let mut store = NetStore::builder(params(), stall_cfg()).crashed(0).crashed(1).build();
-    let h = store.register(RegisterId(0)).unwrap();
-    assert_eq!(h.write(Value::from_u64(1)).unwrap_err(), NetError::TimedOut);
-    // The failed operation is recorded as incomplete, not completed.
-    let history = store.history();
-    assert_eq!(history.ops.len(), 1);
-    assert!(history.ops[0].completed_at.is_none());
-    store.shutdown();
-}
-
-#[test]
-fn polled_driver_times_out_without_a_quorum_over_tcp() {
-    let mut store = NetStore::builder(params(), stall_cfg())
-        .driver(Driver::Polled)
-        .transport(Transport::Tcp)
-        .crashed(0)
-        .crashed(1)
-        .build();
+/// A doomed write: polled while pending, then failed at the deadline
+/// and recorded as an incomplete operation.
+fn times_out_without_a_quorum(transport: Transport) {
+    let mut store =
+        NetStore::builder(params(), stall_cfg()).transport(transport).crashed(0).crashed(1).build();
     let h = store.register(RegisterId(0)).unwrap();
     // Poll the doomed ticket while it is still pending: `is_done` and
     // `wait_for` report in-flight without consuming the outcome.
@@ -63,50 +50,64 @@ fn polled_driver_times_out_without_a_quorum_over_tcp() {
     assert!(!ticket.is_done(), "operation still in flight");
     assert_eq!(ticket.wait_for(Duration::from_millis(10)).unwrap(), None, "still in flight");
     assert_eq!(ticket.wait().unwrap_err(), NetError::TimedOut);
+    // The failed operation is recorded as incomplete, not completed.
     let history = store.history();
     assert_eq!(history.ops.len(), 1);
     assert!(history.ops[0].completed_at.is_none());
     store.shutdown();
 }
 
+/// Channel transport: the shard worker waits on its input channel.
 #[test]
 fn polled_driver_times_out_under_the_channel_transport_too() {
-    let mut store = NetStore::builder(params(), stall_cfg())
-        .driver(Driver::Polled)
-        .crashed(0)
-        .crashed(1)
-        .build();
-    let h = store.register(RegisterId(0)).unwrap();
-    assert_eq!(h.write(Value::from_u64(1)).unwrap_err(), NetError::TimedOut);
-    store.shutdown();
+    times_out_without_a_quorum(Transport::Channel);
 }
 
-#[cfg(target_os = "linux")]
+/// TCP transport: the shard worker waits in epoll.
 #[test]
 fn reactor_driver_times_out_without_a_quorum() {
-    let mut store = NetStore::builder(params(), stall_cfg())
-        .driver(Driver::Reactor)
-        .transport(Transport::Tcp)
-        .crashed(0)
-        .crashed(1)
-        .build();
-    let h = store.register(RegisterId(0)).unwrap();
-    assert_eq!(h.write(Value::from_u64(1)).unwrap_err(), NetError::TimedOut);
-    let history = store.history();
-    assert_eq!(history.ops.len(), 1);
-    assert!(history.ops[0].completed_at.is_none());
-    store.shutdown();
+    times_out_without_a_quorum(Transport::Tcp);
+}
+
+#[test]
+fn a_queued_op_begins_when_the_op_ahead_settles_on_its_timer() {
+    // Zero injected latency: every op is lucky and settles on its
+    // round-1 timer wake, and nothing else has a timer. A worker that
+    // tried the queued write *before* settling the first would wait with
+    // no timeout, and the second write would never begin (nor could its
+    // deadline fire). Both must settle promptly.
+    let cfg = NetConfig::for_latency(Duration::ZERO, Duration::ZERO);
+    for transport in [Transport::Tcp, Transport::Channel] {
+        let mut store = NetStore::builder(params(), cfg.clone())
+            .transport(transport)
+            .driver(Driver::Reactor)
+            .build();
+        let h = store.register(RegisterId(0)).unwrap();
+        for round in 0..3u64 {
+            let mut tickets: Vec<_> =
+                (1..=2).map(|i| h.invoke_write(Value::from_u64(10 * round + i))).collect();
+            for (i, t) in tickets.iter_mut().enumerate() {
+                let settled = t.wait_for(Duration::from_secs(2)).expect("write succeeds");
+                assert!(
+                    settled.is_some(),
+                    "{transport:?}: write {i} of round {round} never settled"
+                );
+            }
+        }
+        store.check_atomicity().unwrap();
+        store.shutdown();
+    }
 }
 
 #[test]
 fn deadline_failures_are_never_reported_as_driver_busy() {
-    // The polled driver used to fold `SessionError::Busy` (a driver
-    // invariant violation — two ops begun on one session) into
-    // `NetError::TimedOut` (a protocol deadline). The two are distinct
-    // errors now, each with its own identity and message; a genuine
-    // deadline failure must surface as `TimedOut` under every driver
-    // (the surrounding tests drive that path per driver), and `Busy`
-    // stays unrepresentable through the public API because every driver
+    // `SessionError::Busy` (a driver invariant violation — two ops
+    // begun on one session) must never be folded into
+    // `NetError::TimedOut` (a protocol deadline): they are distinct
+    // errors, each with its own identity and message; a genuine
+    // deadline failure must surface as `TimedOut` under every transport
+    // (the surrounding tests drive that path per transport), and `Busy`
+    // stays unrepresentable through the public API because the worker
     // serializes operations per session before calling `begin`.
     assert_ne!(NetError::TimedOut, NetError::DriverBusy);
     assert_eq!(NetError::TimedOut.to_string(), "operation did not complete within the deadline");
@@ -122,12 +123,12 @@ fn deadline_failures_are_never_reported_as_driver_busy() {
         seed: 3,
         timer: Duration::from_millis(5),
     };
-    for driver in [Driver::Threaded, Driver::Polled] {
-        let mut store = NetStore::builder(params(), cfg.clone()).driver(driver).build();
+    for transport in [Transport::Channel, Transport::Tcp] {
+        let mut store = NetStore::builder(params(), cfg.clone()).transport(transport).build();
         let h = store.register(RegisterId(0)).unwrap();
         let tickets: Vec<_> = (1..=2).map(|i| h.invoke_write(Value::from_u64(i))).collect();
         for t in tickets {
-            t.wait().unwrap_or_else(|e| panic!("queued write completes under {driver:?}: {e}"));
+            t.wait().unwrap_or_else(|e| panic!("queued write completes under {transport:?}: {e}"));
         }
         store.shutdown();
     }
