@@ -263,12 +263,12 @@ pub struct AbdConfig {
 
 impl AbdConfig {
     /// Synchronous network preset matching `lucky-core`'s
-    /// `ClusterConfig::synchronous` (δ = 100µs), for fair comparisons.
+    /// `StoreConfig::synchronous` (δ = 100µs), for fair comparisons.
     pub fn synchronous(t: usize) -> AbdConfig {
         AbdConfig { t, net: NetworkModel::uniform(50, 100), seed: 0 }
     }
 
-    /// Asynchronous preset matching `ClusterConfig::asynchronous`.
+    /// Asynchronous preset matching `StoreConfig::asynchronous`.
     pub fn asynchronous(t: usize) -> AbdConfig {
         AbdConfig { t, net: NetworkModel::uniform(50, 20_000), seed: 0 }
     }
@@ -281,7 +281,9 @@ impl AbdConfig {
     }
 }
 
-/// A simulated ABD cluster mirroring `SimCluster`'s surface.
+/// A simulated single-register ABD cluster: one writer, `R` readers and
+/// `2t + 1` servers, with the `write`/`read`/`check_atomicity` operations
+/// the experiment tables compare against a one-register `SimStore`.
 #[derive(Debug)]
 pub struct AbdCluster {
     world: World<AbdMessage>,

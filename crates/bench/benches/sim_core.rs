@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lucky_core::runtime::ServerCore;
-use lucky_core::Setup;
+use lucky_core::{RegisterMux, Setup};
 use lucky_sim::{Automaton, Effects, NetworkModel, World};
 use lucky_types::{
     BatchConfig, FrozenSlot, Message, Op, Params, ProcessId, PwMsg, ReadAckMsg, ReadMsg, ReadSeq,
@@ -100,7 +100,7 @@ fn bench_batched_mux(c: &mut Criterion) {
                 })
                 .collect();
             b.iter(|| {
-                let mut mux = setup.make_server_mux_batched(BatchConfig::enabled(16));
+                let mut mux = RegisterMux::with_batch(setup, BatchConfig::enabled(16));
                 let mut acks = 0usize;
                 for msg in &wire {
                     let mut eff = Effects::new();

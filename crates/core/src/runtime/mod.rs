@@ -1,6 +1,5 @@
 //! Drivers: the sans-io [`ClientSession`], `lucky-sim` adapters, the
-//! [`SimCluster`] single-register API and the multi-register [`SimStore`]
-//! facade.
+//! [`Setup`] process factories and the [`SimStore`] facade.
 //!
 //! The protocol cores are sans-io; this module is where they meet an
 //! execution substrate. [`ClientCore`]/[`ServerCore`] give every variant a
@@ -10,21 +9,21 @@
 //! [`SessionAutomaton`]/[`ServerAutomaton`] lift sessions and server
 //! cores into simulator processes; [`RegisterMux`] multiplexes one server
 //! process over a namespace of registers; and [`SimStore`] (built from a
-//! [`StoreConfig`]) wires a full cluster serving many independent
+//! [`StoreConfig`]) wires a full cluster serving one or many independent
 //! registers, drives operations, injects faults and hands the resulting
-//! history to the `lucky-checker` oracles. [`SimCluster`] is the original
-//! one-register API, now a veneer over a one-register store.
+//! history to the `lucky-checker` oracles. The paper's single register is
+//! a one-register store, `StoreConfig::synchronous(p).build_sim()`.
 
 mod adapters;
-mod cluster;
 mod mux;
 mod session;
+mod setup;
 mod store;
 
 pub use adapters::{ClientCore, ServerAutomaton, ServerCore, SessionAutomaton};
-pub use cluster::{ClusterConfig, OpOutcome, Setup, SimCluster, SYNC_BOUND_MICROS};
 pub use mux::RegisterMux;
 pub use session::{
     ClientSession, Input, Output, SessionConfig, SessionError, SessionOutcome, SessionStatus,
 };
+pub use setup::{OpOutcome, Setup, SYNC_BOUND_MICROS};
 pub use store::{SimRegister, SimStore, StoreConfig};

@@ -29,11 +29,12 @@
 //! ```
 
 use crate::byz;
+use crate::config::ProtocolConfig;
 use crate::runtime::adapters::{ServerAutomaton, ServerCore, SessionAutomaton};
-use crate::runtime::cluster::{ClusterConfig, OpOutcome, Setup};
 use crate::runtime::session::SessionConfig;
+use crate::runtime::setup::{OpOutcome, Setup, SYNC_BOUND_MICROS};
 use lucky_checker::Violations;
-use lucky_log::{DurableBackend, LogCounters};
+use lucky_log::LogCounters;
 use lucky_sim::{NetworkModel, RunError, World};
 use lucky_types::{
     BatchConfig, History, Message, Op, OpId, Params, ProcessId, ReaderId, RegisterId, ServerId,
@@ -42,18 +43,28 @@ use lucky_types::{
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// Configuration of a multi-register store: a cluster configuration plus
-/// the shape of the register namespace.
+/// Configuration of a store: the protocol variant, the network regime
+/// and the shape of the register namespace.
 ///
-/// The presets mirror [`ClusterConfig`]'s network regimes; chain
-/// [`StoreConfig::registers`] and [`StoreConfig::readers_per_register`] to
-/// size the namespace, then build a runtime with
-/// [`StoreConfig::build_sim`] (or hand the config to `lucky-net`'s
-/// `NetStore` for the threaded runtime).
+/// The presets encode the two network regimes the paper distinguishes
+/// (§2.3): `synchronous*` keeps every delay within the bound the clients'
+/// timers assume (δ = [`SYNC_BOUND_MICROS`]), so operations are *lucky*
+/// whenever they are contention-free; `asynchronous` draws delays far
+/// beyond that bound. Chain [`StoreConfig::registers`] and
+/// [`StoreConfig::readers_per_register`] to size the namespace (the
+/// paper's single register is the default, `registers(1)`), then build a
+/// runtime with [`StoreConfig::build_sim`] (or hand the config to
+/// `lucky-net`'s `NetStore` for the threaded runtime).
 #[derive(Clone, Debug)]
 pub struct StoreConfig {
-    /// Variant, protocol tunables, network model and seed.
-    pub cluster: ClusterConfig,
+    /// Protocol variant and resilience parameters.
+    pub setup: Setup,
+    /// Protocol tunables (timers, fast paths, freezing).
+    pub protocol: ProtocolConfig,
+    /// Network delay model.
+    pub net: NetworkModel,
+    /// Simulation seed.
+    pub seed: u64,
     /// Number of registers the store serves (≥ 1).
     pub registers: usize,
     /// Reader processes per register.
@@ -91,16 +102,26 @@ pub struct StoreConfig {
     pub groups: usize,
     /// Per-group protocol setup overrides, keyed by group index: a group
     /// listed here runs its own quorum parameters (S, B and the timers
-    /// derived from them) instead of the cluster-wide `cluster.setup`.
+    /// derived from them) instead of the store-wide `setup`.
     /// Resolved through [`StoreConfig::setup_for`]; consumed by
     /// `lucky-shard`.
     pub group_setups: Vec<(u16, Setup)>,
 }
 
-impl From<ClusterConfig> for StoreConfig {
-    fn from(cluster: ClusterConfig) -> StoreConfig {
+impl StoreConfig {
+    fn preset(setup: Setup, synchronous: bool) -> StoreConfig {
+        let net = if synchronous {
+            NetworkModel::uniform(SYNC_BOUND_MICROS / 2, SYNC_BOUND_MICROS)
+        } else {
+            // Delays up to 200δ: round-1 timers expire long before a
+            // quorum assembles, so no operation is synchronous.
+            NetworkModel::uniform(SYNC_BOUND_MICROS / 2, 200 * SYNC_BOUND_MICROS)
+        };
         StoreConfig {
-            cluster,
+            setup,
+            protocol: ProtocolConfig::for_sync_bound(SYNC_BOUND_MICROS),
+            net,
+            seed: 0,
             registers: 1,
             readers_per_register: 1,
             batch: BatchConfig::disabled(),
@@ -111,27 +132,26 @@ impl From<ClusterConfig> for StoreConfig {
             group_setups: Vec::new(),
         }
     }
-}
 
-impl StoreConfig {
     /// Atomic variant on a synchronous network.
     pub fn synchronous(params: Params) -> StoreConfig {
-        ClusterConfig::synchronous(params).into()
+        StoreConfig::preset(Setup::Atomic(params), true)
     }
 
-    /// Atomic variant on an asynchronous network.
+    /// Atomic variant on an asynchronous network (delays far beyond the
+    /// bound the timers assume).
     pub fn asynchronous(params: Params) -> StoreConfig {
-        ClusterConfig::asynchronous(params).into()
+        StoreConfig::preset(Setup::Atomic(params), false)
     }
 
     /// Two-round variant (App. C) on a synchronous network.
     pub fn synchronous_two_round(params: TwoRoundParams) -> StoreConfig {
-        ClusterConfig::synchronous_two_round(params).into()
+        StoreConfig::preset(Setup::TwoRound(params), true)
     }
 
     /// Regular variant (App. D) on a synchronous network.
     pub fn synchronous_regular(params: Params) -> StoreConfig {
-        ClusterConfig::synchronous_regular(params).into()
+        StoreConfig::preset(Setup::Regular(params), true)
     }
 
     /// Size the register namespace (chainable).
@@ -156,21 +176,21 @@ impl StoreConfig {
     /// Replace the seed (chainable).
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> StoreConfig {
-        self.cluster.seed = seed;
+        self.seed = seed;
         self
     }
 
     /// Replace the network model (chainable).
     #[must_use]
     pub fn with_net(mut self, net: NetworkModel) -> StoreConfig {
-        self.cluster.net = net;
+        self.net = net;
         self
     }
 
     /// Replace the protocol tunables (chainable).
     #[must_use]
-    pub fn with_protocol(mut self, protocol: crate::config::ProtocolConfig) -> StoreConfig {
-        self.cluster.protocol = protocol;
+    pub fn with_protocol(mut self, protocol: ProtocolConfig) -> StoreConfig {
+        self.protocol = protocol;
         self
     }
 
@@ -219,7 +239,7 @@ impl StoreConfig {
     }
 
     /// Give group `g` its own protocol setup — quorum shape, Byzantine
-    /// budget and derived timers — instead of the cluster-wide one
+    /// budget and derived timers — instead of the store-wide one
     /// (chainable). Accepts a [`Setup`] directly or anything converting
     /// into one (`Params`, `TwoRoundParams`). Re-setting a group
     /// replaces its previous override.
@@ -234,13 +254,9 @@ impl StoreConfig {
     }
 
     /// The protocol setup group `g` runs: its override if present,
-    /// otherwise the cluster-wide `cluster.setup`.
+    /// otherwise the store-wide `setup`.
     pub fn setup_for(&self, g: lucky_types::GroupId) -> Setup {
-        self.group_setups
-            .iter()
-            .find(|(i, _)| *i == g.0)
-            .map(|(_, s)| *s)
-            .unwrap_or(self.cluster.setup)
+        self.group_setups.iter().find(|(i, _)| *i == g.0).map(|(_, s)| *s).unwrap_or(self.setup)
     }
 
     /// Build a simulated store.
@@ -259,10 +275,10 @@ impl StoreConfig {
 /// variant serving `registers` independent SWMR registers, each with its
 /// own writer and `readers_per_register` readers.
 ///
-/// All the fault-injection and checking machinery of the single-register
-/// [`SimCluster`](crate::SimCluster) is available here; atomicity and
-/// regularity checks partition the history per register, since registers
-/// are independent objects.
+/// The paper's single register is a one-register store
+/// (`registers(1)`, the default) addressed as [`RegisterId::DEFAULT`].
+/// Atomicity and regularity checks partition the history per register,
+/// since registers are independent objects.
 #[derive(Debug)]
 pub struct SimStore {
     setup: Setup,
@@ -279,32 +295,15 @@ pub struct SimStore {
     tracer: Arc<lucky_trace::Tracer>,
 }
 
-/// Build server `i`'s core: a durable mux over `<dir>/s<i>/` when the
-/// store persists, a plain in-memory mux otherwise. Standalone (not a
-/// method) so restart builders can capture its inputs by value and run
-/// at the restart instant.
-fn server_core(
-    setup: Setup,
-    batch: BatchConfig,
-    durable: Option<(PathBuf, Arc<LogCounters>)>,
-    i: u16,
-) -> Box<dyn ServerCore> {
-    match durable {
-        Some((dir, counters)) => {
-            let backend = DurableBackend::open_with(dir.join(format!("s{i}")), counters)
-                .expect("create the server's log directory");
-            setup.make_server_mux_durable(batch, Box::new(backend))
-        }
-        None => setup.make_server_mux_batched(batch),
-    }
-}
-
 impl SimStore {
     /// Build a store from `cfg`. Every process is built through the
     /// [`Setup`] factories, so the constructor is variant-agnostic.
     pub fn new(cfg: StoreConfig) -> SimStore {
         let StoreConfig {
-            cluster,
+            setup,
+            protocol,
+            net,
+            seed,
             registers,
             readers_per_register,
             batch,
@@ -324,13 +323,11 @@ impl SimStore {
             registers * readers_per_register <= u16::MAX as usize,
             "reader namespace exceeds the ReaderId range"
         );
-        let mut world = World::new(cluster.net.clone(), cluster.seed);
+        let mut world = World::new(net, seed);
         world.set_batch(batch);
         let tracer = Arc::new(lucky_trace::Tracer::new(trace));
         world.set_tracer(Arc::clone(&tracer));
-        let protocol = cluster.protocol;
         let session = SessionConfig { deadline_micros: op_deadline_micros };
-        let setup = cluster.setup;
         let counters = Arc::new(LogCounters::default());
         for reg in RegisterId::all(registers) {
             world.add_process(
@@ -351,7 +348,7 @@ impl SimStore {
             let durable = durable_dir.as_ref().map(|d| (d.clone(), Arc::clone(&counters)));
             world.add_process(
                 ProcessId::Server(s),
-                Box::new(ServerAutomaton(server_core(setup, batch, durable, s.0))),
+                Box::new(ServerAutomaton(setup.make_server_core(s.0, batch, durable))),
             );
         }
         SimStore {
@@ -500,7 +497,7 @@ impl SimStore {
         let durable = self.durable_dir.as_ref().map(|d| (d.clone(), Arc::clone(&self.counters)));
         self.world.add_process(
             ProcessId::Server(ServerId(i)),
-            Box::new(ServerAutomaton(server_core(self.setup, self.batch, durable, i))),
+            Box::new(ServerAutomaton(self.setup.make_server_core(i, self.batch, durable))),
         );
     }
 
@@ -515,7 +512,7 @@ impl SimStore {
         self.world.restart_at(
             ProcessId::Server(ServerId(i)),
             at,
-            Box::new(move || Box::new(ServerAutomaton(server_core(setup, batch, durable, i)))),
+            Box::new(move || Box::new(ServerAutomaton(setup.make_server_core(i, batch, durable)))),
         );
     }
 
@@ -698,6 +695,62 @@ mod tests {
 
     fn params() -> Params {
         Params::new(1, 0, 1, 0).unwrap()
+    }
+
+    /// t = 2, b = 1, fw = 1, fr = 0 (S = 6).
+    fn params_s6() -> Params {
+        Params::new(2, 1, 1, 0).unwrap()
+    }
+
+    #[test]
+    fn read_of_empty_register_returns_bot() {
+        let mut store = StoreConfig::synchronous(params_s6()).build_sim();
+        let r = store.register(RegisterId::DEFAULT).read(0);
+        assert!(r.value.is_bot());
+        assert!(r.fast);
+        store.check_atomicity().unwrap();
+    }
+
+    #[test]
+    fn read_slow_when_failures_exceed_fr() {
+        // fr = 0 guarantees fast lucky reads only with zero failures. The
+        // adversarial pattern needs a server that *missed* the fast write
+        // (its PW stays in transit) plus a crash of a holder: then only
+        // S − fw − 1 = 4 < fastpw pw-copies respond and the read goes slow.
+        let mut store = StoreConfig::synchronous(params_s6()).build_sim();
+        store.world_mut().hold(ProcessId::Writer, ProcessId::Server(ServerId(4)));
+        let w = store.register(RegisterId::DEFAULT).write(Value::from_u64(1));
+        assert!(w.fast, "S - fw = 5 acks suffice");
+        store.crash_server(5); // a holder of the value
+        let r = store.register(RegisterId::DEFAULT).read(0);
+        assert!(!r.fast);
+        assert_eq!(r.rounds, 4, "1 read round + 3 write-back rounds");
+        assert_eq!(r.value.as_u64(), Some(1));
+        store.check_atomicity().unwrap();
+    }
+
+    #[test]
+    fn asynchronous_network_forces_slow_operations() {
+        let mut store = StoreConfig::asynchronous(params_s6()).with_seed(3).build_sim();
+        let w = store.register(RegisterId::DEFAULT).write(Value::from_u64(1));
+        let r = store.register(RegisterId::DEFAULT).read(0);
+        assert_eq!(r.value.as_u64(), Some(1));
+        // With delays up to 200δ the timer (2δ) always expires first and
+        // the quorum-sized view is almost never fast; atomicity holds
+        // regardless.
+        assert!(!w.fast || !r.fast);
+        store.check_atomicity().unwrap();
+    }
+
+    #[test]
+    fn byzantine_forger_cannot_corrupt_reads() {
+        use lucky_types::{Seq, TsVal};
+        let mut store = StoreConfig::synchronous(params_s6()).build_sim();
+        store.install_forge_value(2, TsVal::new(Seq(99), Value::from_u64(666)));
+        store.register(RegisterId::DEFAULT).write(Value::from_u64(1));
+        let r = store.register(RegisterId::DEFAULT).read(0);
+        assert_eq!(r.value.as_u64(), Some(1));
+        store.check_atomicity().unwrap();
     }
 
     #[test]

@@ -9,7 +9,7 @@ use lucky_sim::Effects;
 use lucky_types::{Message, Op, ProcessId, RegisterId, Value};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, Sender};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -187,9 +187,14 @@ impl NetOutcome {
     }
 }
 
-/// Control-plane commands for one server thread: the crash-recovery
-/// harness speaks to a *live thread* whose protocol core comes and goes.
-pub(crate) enum ServerCtl {
+/// Everything a server thread's inbox carries: protocol messages, and
+/// the crash/restart commands of the recovery harness, which speaks to a
+/// *live thread* whose protocol core comes and goes. Commands travel on
+/// the inbox itself, so the thread sleeps in one blocking `recv` and a
+/// command takes effect after every delivery queued before it.
+pub(crate) enum ServerInput {
+    /// Deliver `msg` from the given sender to the server's core.
+    Deliver(ProcessId, Message),
     /// Drop the protocol core: the thread keeps draining its inbox but
     /// every delivery is discarded, exactly as a dead process loses the
     /// messages sent to it.
@@ -205,46 +210,24 @@ pub(crate) enum ServerCtl {
     Restart(Box<dyn FnOnce() -> Box<dyn ServerCore> + Send>, Sender<()>),
 }
 
-/// How long a server thread blocks on its inbox before re-checking the
-/// control channel — bounds how stale a crash/restart command can go
-/// unnoticed while the inbox is quiet.
-const CTL_POLL: Duration = Duration::from_millis(5);
-
 /// Spawn one server's event loop: deliver every inbox message to `core`
-/// and forward its replies to the router. The control channel injects
-/// crash/restart transitions. The thread exits when the inbox
-/// disconnects.
+/// and forward its replies to the router, applying crash/restart
+/// commands in inbox order. The thread exits when every sender of the
+/// inbox is gone.
 pub(crate) fn spawn_server_thread(
     name: String,
     id: ProcessId,
     core: Box<dyn ServerCore>,
-    rx: Receiver<(ProcessId, Message)>,
-    ctl: Receiver<ServerCtl>,
+    rx: Receiver<ServerInput>,
     router: Sender<Envelope>,
 ) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name(name)
         .spawn(move || {
             let mut core = Some(core);
-            loop {
-                // Control first: a queued crash takes effect before any
-                // queued delivery, so deliveries behind the command in
-                // wall-clock order are lost like a real crash loses them.
-                match ctl.try_recv() {
-                    Ok(ServerCtl::Crash) => core = None,
-                    Ok(ServerCtl::Restart(build, done)) => {
-                        // The old core (and its open log handles) drops
-                        // before the rebuild opens the same logs.
-                        drop(core.take());
-                        core = Some(build());
-                        let _ = done.send(());
-                    }
-                    // Empty, or no controller at all (sender dropped):
-                    // behave as a plain server.
-                    Err(_) => {}
-                }
-                match rx.recv_timeout(CTL_POLL) {
-                    Ok((from, msg)) => {
+            while let Ok(input) = rx.recv() {
+                match input {
+                    ServerInput::Deliver(from, msg) => {
                         let Some(core) = core.as_mut() else {
                             continue; // crashed: the delivery is lost
                         };
@@ -257,8 +240,14 @@ pub(crate) fn spawn_server_thread(
                             }
                         }
                     }
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => return,
+                    ServerInput::Crash => core = None,
+                    ServerInput::Restart(build, done) => {
+                        // The old core (and its open log handles) drops
+                        // before the rebuild opens the same logs.
+                        drop(core.take());
+                        core = Some(build());
+                        let _ = done.send(());
+                    }
                 }
             }
         })

@@ -13,6 +13,7 @@
 //! back-to-back, preserving sender identity (the channel, not the
 //! payload, authenticates the sender — a batch can never forge one).
 
+use crate::cluster::ServerInput;
 use crate::polled::WorkerInput;
 use lucky_types::{BatchConfig, Message, ProcessId, RegisterId, ServerId};
 use lucky_wire::PacketPart;
@@ -66,7 +67,7 @@ pub(crate) enum Envelope {
 #[derive(Clone)]
 pub(crate) enum Inbox {
     /// A server thread's inbox.
-    Server(Sender<(ProcessId, Message)>),
+    Server(Sender<ServerInput>),
     /// A channel-waiting shard worker's input channel.
     Worker(Sender<WorkerInput>),
 }
@@ -75,7 +76,7 @@ impl Inbox {
     /// Deliver `msg` from `from` to `to`; `false` if the inbox closed.
     pub(crate) fn send(&self, from: ProcessId, to: ProcessId, msg: Message) -> bool {
         match self {
-            Inbox::Server(tx) => tx.send((from, msg)).is_ok(),
+            Inbox::Server(tx) => tx.send(ServerInput::Deliver(from, msg)).is_ok(),
             Inbox::Worker(tx) => tx.send(WorkerInput::Deliver { from, to, msg }).is_ok(),
         }
     }
@@ -264,12 +265,6 @@ impl std::fmt::Display for NetStats {
 }
 
 impl NetStats {
-    /// The one-line rollup [`NetStats`]'s `Display` renders, as an owned
-    /// string — for callers composing it into wider report lines.
-    pub fn summary(&self) -> String {
-        self.to_string()
-    }
-
     /// The traffic counters for register `reg` (zero if never routed).
     pub fn register(&self, reg: RegisterId) -> RegisterStats {
         self.per_register.get(&reg).copied().unwrap_or_default()

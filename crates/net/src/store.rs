@@ -19,7 +19,7 @@
 
 use crate::cluster::{
     assert_one_fault_per_server, spawn_server_thread, HandleError, NetConfig, NetError, NetOutcome,
-    ServerCtl,
+    ServerInput,
 };
 use crate::future::{NotifyGuard, OpFuture, OpNotify};
 use crate::polled::{Driver, Job, PolledSlot, PolledWorker, Wait, WorkerInput};
@@ -29,7 +29,7 @@ use crate::tcp::{build_fabric, TcpFabric, Transport};
 use epoll::WakeFd;
 use lucky_core::runtime::ServerCore;
 use lucky_core::{ProtocolConfig, SessionConfig, Setup, StoreConfig};
-use lucky_log::{DurableBackend, LogCounters};
+use lucky_log::LogCounters;
 use lucky_types::{BatchConfig, History, Op, ProcessId, RegisterId, ServerId, Value};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -294,34 +294,31 @@ impl NetStoreBuilder {
 
         // Server threads: every honest server multiplexes all registers
         // and re-batches its acks per sender (when batching is enabled).
-        // Each gets a control channel so the store can crash and restart
-        // it mid-run; a durable store's servers share one counter pair.
+        // The store keeps a sender on each inbox to crash and restart the
+        // server mid-run; a durable store's servers share one counter pair.
         let counters = Arc::new(LogCounters::default());
-        let mut ctl = BTreeMap::new();
+        let mut servers = BTreeMap::new();
         for s in ServerId::all(server_count) {
             slots.insert(ProcessId::Server(s), s.index());
             if self.crashed.contains(&s.0) {
                 continue;
             }
-            let (tx, rx) = channel::<(ProcessId, lucky_types::Message)>();
-            inboxes.insert(ProcessId::Server(s), Inbox::Server(tx));
+            let (tx, rx) = channel::<ServerInput>();
+            inboxes.insert(ProcessId::Server(s), Inbox::Server(tx.clone()));
+            servers.insert(s.0, tx);
             let core: Box<dyn ServerCore> = match self.byzantine.remove(&s.0) {
                 Some(byz) => byz,
-                None => store_server_core(
-                    self.setup,
+                None => self.setup.make_server_core(
+                    s.0,
                     self.batch,
                     self.durable_dir.clone().map(|d| (d, Arc::clone(&counters))),
-                    s.0,
                 ),
             };
-            let (ctl_tx, ctl_rx) = channel::<ServerCtl>();
-            ctl.insert(s.0, ctl_tx);
             server_threads.push(spawn_server_thread(
                 format!("lucky-store-server-{}", s.0),
                 ProcessId::Server(s),
                 core,
                 rx,
-                ctl_rx,
                 router_tx.clone(),
             ));
         }
@@ -412,7 +409,7 @@ impl NetStoreBuilder {
             shard_count,
             stats,
             history,
-            ctl,
+            servers,
             counters,
             setup: self.setup,
             batch: self.batch,
@@ -443,25 +440,6 @@ impl JobPort {
         if let Some(wake) = &self.wake {
             wake.wake();
         }
-    }
-}
-
-/// Build one server's protocol core: a durable store opens (and on a
-/// restart, replays) the server's per-register logs under `<dir>/s<i>`;
-/// a plain store serves from memory.
-fn store_server_core(
-    setup: Setup,
-    batch: BatchConfig,
-    durable: Option<(PathBuf, Arc<LogCounters>)>,
-    i: u16,
-) -> Box<dyn ServerCore> {
-    match durable {
-        Some((dir, counters)) => {
-            let backend = DurableBackend::open_with(dir.join(format!("s{i}")), counters)
-                .expect("create the server's log directory");
-            setup.make_server_mux_durable(batch, Box::new(backend))
-        }
-        None => setup.make_server_mux_batched(batch),
     }
 }
 
@@ -732,8 +710,9 @@ pub struct NetStore {
     shard_count: usize,
     stats: Arc<Mutex<NetStats>>,
     history: Arc<Mutex<History>>,
-    /// Control channel of each live server thread, by server index.
-    ctl: BTreeMap<u16, Sender<ServerCtl>>,
+    /// The inbox of each live server thread, by server index, for
+    /// crash/restart commands.
+    servers: BTreeMap<u16, Sender<ServerInput>>,
     /// Durability counters shared by every server backend (and every
     /// restarted incarnation); rolled into [`NetStats`] by `stats()`.
     counters: Arc<LogCounters>,
@@ -794,10 +773,10 @@ impl NetStore {
             "a NetStore is one group's engine; multi-group configs build through \
              lucky-shard's ShardNetStore"
         );
-        NetStore::builder(cfg.cluster.setup, net)
+        NetStore::builder(cfg.setup, net)
             .registers(cfg.registers)
             .readers_per_register(cfg.readers_per_register)
-            .protocol(cfg.cluster.protocol)
+            .protocol(cfg.protocol)
             .batch(cfg.batch)
             .trace(cfg.trace)
             .build()
@@ -843,16 +822,17 @@ impl NetStore {
         s
     }
 
-    /// Crash server `i` mid-run: its thread drops the protocol core and
+    /// Crash server `i` mid-run: once it has handled the deliveries
+    /// already in its inbox, its thread drops the protocol core and
     /// discards every delivery until [`NetStore::restart_server`]. Under
     /// [`Transport::Tcp`] the slot's wire is severed too, so in-flight
     /// frames count as dropped, exactly like a never-spawned server's.
     /// No-op for a server that was built crashed (it has no thread).
     pub fn crash_server(&mut self, i: u16) {
-        let Some(tx) = self.ctl.get(&i) else {
+        let Some(tx) = self.servers.get(&i) else {
             return;
         };
-        let _ = tx.send(ServerCtl::Crash);
+        let _ = tx.send(ServerInput::Crash);
         if self.fabric.is_some() {
             let _ = self.router_tx.send(Envelope::Sink { slot: i as usize, stream: None });
         }
@@ -872,15 +852,15 @@ impl NetStore {
     /// window and be silently lost — which matters the moment the
     /// recovered server is quorum-critical (exactly `t` others down).
     pub fn restart_server(&mut self, i: u16) {
-        let Some(tx) = self.ctl.get(&i) else {
+        let Some(tx) = self.servers.get(&i) else {
             return;
         };
         let setup = self.setup;
         let batch = self.batch;
         let durable = self.durable_dir.clone().map(|d| (d, Arc::clone(&self.counters)));
         let (done_tx, done_rx) = channel::<()>();
-        let _ = tx.send(ServerCtl::Restart(
-            Box::new(move || store_server_core(setup, batch, durable, i)),
+        let _ = tx.send(ServerInput::Restart(
+            Box::new(move || setup.make_server_core(i, batch, durable)),
             done_tx,
         ));
         if let Some(fabric) = self.fabric.as_mut() {
@@ -889,9 +869,8 @@ impl NetStore {
                     self.router_tx.send(Envelope::Sink { slot: i as usize, stream: Some(sink) });
             }
         }
-        // The server thread polls its control channel every CTL_POLL;
-        // the bound only guards against a thread that already exited.
-        let _ = done_rx.recv_timeout(std::time::Duration::from_secs(5));
+        // Fails at once, instead of blocking, if the thread already exited.
+        let _ = done_rx.recv();
     }
 
     /// A snapshot of the operation history so far (all registers
@@ -964,6 +943,9 @@ impl NetStore {
         if let Some(mut fabric) = self.fabric.take() {
             fabric.shutdown();
         }
+        // The store's own inbox senders are the last: without them the
+        // server threads see their inboxes disconnect and exit.
+        self.servers.clear();
         for t in self.server_threads.drain(..) {
             let _ = t.join();
         }

@@ -8,7 +8,7 @@
 
 use lucky_atomic::core::ProtocolConfig;
 use lucky_atomic::explore::{explore, random_walks, ByzKind, ExploreConfig, Scenario};
-use lucky_atomic::types::{Params, ProcessId, ReaderId, Value};
+use lucky_atomic::types::{Params, ProcessId, ReaderId, RegisterId, Value};
 
 fn main() {
     // --- 1. Exhaustive: every schedule of write ∥ read on S = 3 --------
@@ -53,12 +53,12 @@ fn main() {
     }
 
     // --- 3. Message tracing on the simulator ---------------------------
-    use lucky_atomic::core::{ClusterConfig, SimCluster};
+    use lucky_atomic::core::StoreConfig;
     let params = Params::new(1, 0, 1, 0).unwrap();
-    let mut cluster = SimCluster::new(ClusterConfig::synchronous(params), 1);
+    let mut cluster = StoreConfig::synchronous(params).build_sim();
     cluster.world_mut().enable_trace();
-    cluster.write(Value::from_u64(7));
-    cluster.read(ReaderId(0));
+    cluster.register(RegisterId::DEFAULT).write(Value::from_u64(7));
+    cluster.register(RegisterId::DEFAULT).read(0);
     println!("\nmessage trace of one fast write + one fast read (S = 3):");
     for entry in cluster.world().trace() {
         println!("  {entry}");

@@ -18,7 +18,7 @@
 
 use lucky_atomic::core::byz::{ForgeValue, MangleBatch};
 use lucky_atomic::core::runtime::ServerCore;
-use lucky_atomic::core::{OpOutcome, Setup, SimStore, StoreConfig};
+use lucky_atomic::core::{OpOutcome, Setup, StoreConfig};
 use lucky_atomic::net::{NetConfig, NetStore};
 use lucky_atomic::types::{
     BatchConfig, OpKind, Params, RegisterId, Seq, TsVal, TwoRoundParams, Value,
@@ -91,12 +91,12 @@ fn run_sim_store(setup: Setup, seed: u64) {
 }
 
 fn run_sim_store_with(setup: Setup, seed: u64, batch: BatchConfig, adversary: Adversary) {
-    let cluster = match setup {
-        Setup::Atomic(p) => lucky_atomic::core::ClusterConfig::synchronous(p),
-        Setup::TwoRound(p) => lucky_atomic::core::ClusterConfig::synchronous_two_round(p),
-        Setup::Regular(p) => lucky_atomic::core::ClusterConfig::synchronous_regular(p),
+    let cfg = match setup {
+        Setup::Atomic(p) => StoreConfig::synchronous(p),
+        Setup::TwoRound(p) => StoreConfig::synchronous_two_round(p),
+        Setup::Regular(p) => StoreConfig::synchronous_regular(p),
     };
-    let mut store: SimStore = StoreConfig::from(cluster)
+    let mut store = cfg
         .registers(REGISTERS)
         .readers_per_register(READERS_PER_REGISTER)
         .with_seed(seed)
